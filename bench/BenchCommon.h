@@ -71,17 +71,6 @@ gridJobs(const std::vector<driver::CompileOptions> &Configs,
   return Jobs;
 }
 
-/// Pre-computes every (workload, options, machine) combination on the shared
-/// thread pool so the serial table-assembly loops below hit the runCached
-/// memo instead of compiling and simulating one cell at a time. Results are
-/// identical for any thread count (runAll's determinism contract), so the
-/// emitted tables are byte-for-byte what the serial loops produced.
-inline void warm(const std::vector<driver::CompileOptions> &Configs,
-                 const std::vector<sim::MachineConfig> &Machines = {
-                     sim::MachineConfig{}}) {
-  driver::runAll(gridJobs(Configs, Machines));
-}
-
 inline void emit(const Table &T) {
   std::fputs(T.render().c_str(), stdout);
   std::fputs("\n", stdout);

@@ -28,6 +28,15 @@ struct Variant {
   bool LA;
 };
 
+const Variant Variants[] = {
+    {"paper settings (cap 50, pressure ceiling)", 50, true, 24, false},
+    {"uncapped load weights", 1e9, true, 24, false},
+    {"tight cap (8)", 8, true, 24, false},
+    {"no pressure ceiling", 50, true, 0, false},
+    {"LA, hits exempt from balancing (paper)", 50, true, 24, true},
+    {"LA, hits balanced like misses", 50, false, 24, true},
+};
+
 CompileOptions optionsFor(const Variant &V, int Unroll) {
   CompileOptions O = balanced(Unroll, /*TrS=*/false, V.LA);
   O.Balance.WeightCap = V.WeightCap;
@@ -36,23 +45,16 @@ CompileOptions optionsFor(const Variant &V, int Unroll) {
   return O;
 }
 
-// Only the TS baseline is cacheable: the variant knobs (WeightCap,
-// RespectHitAnnotations) are not part of the runCached key, so those runs
-// stay on runWorkload inside run().
-std::vector<ExperimentJob> jobs() { return gridJobs({traditional(8)}); }
+std::vector<ExperimentJob> jobs() {
+  std::vector<CompileOptions> Configs = {traditional(8)};
+  for (const Variant &V : Variants)
+    Configs.push_back(optionsFor(V, 8));
+  return gridJobs(Configs);
+}
 
 int run() {
   heading("Ablation: balanced-scheduler design choices (unrolling by 8, "
           "where register pressure is the binding constraint)");
-
-  const Variant Variants[] = {
-      {"paper settings (cap 50, pressure ceiling)", 50, true, 24, false},
-      {"uncapped load weights", 1e9, true, 24, false},
-      {"tight cap (8)", 8, true, 24, false},
-      {"no pressure ceiling", 50, true, 0, false},
-      {"LA, hits exempt from balancing (paper)", 50, true, 24, true},
-      {"LA, hits balanced like misses", 50, false, 24, true},
-  };
 
   Table T({"Variant", "Mean speedup vs TS+LU8", "Mean li% of cycles",
            "Total spill+restore instrs"});
@@ -60,13 +62,8 @@ int run() {
     std::vector<double> Sp, Li;
     long long SpillInstrs = 0;
     for (const Workload &W : workloads()) {
-      CompileOptions TS = traditional(8);
-      const RunResult &Base = mustRun(W, TS);
-      RunResult R = runWorkload(W, optionsFor(V, 8));
-      if (!R.ok()) {
-        std::fprintf(stderr, "FATAL: %s\n", R.Error.c_str());
-        return 1;
-      }
+      const RunResult &Base = mustRun(W, traditional(8));
+      const RunResult &R = mustRun(W, optionsFor(V, 8));
       Sp.push_back(speedup(Base, R));
       Li.push_back(R.Sim.loadInterlockShare());
       SpillInstrs += R.Sim.Counts.Spills + R.Sim.Counts.Restores;

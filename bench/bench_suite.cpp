@@ -13,6 +13,8 @@
 // Output contract: every table's bytes are identical to its standalone
 // bench_<table> binary, for any thread count, cold or warm store
 // (--verify-standalone re-runs the standalone binaries and compares).
+// Every cell a table's run() reads must be declared by its jobs(): a run()
+// that misses the result cache fails the suite, naming the table.
 //
 // Usage:
 //   --list                   list registered tables and exit
@@ -43,6 +45,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -91,6 +94,7 @@ struct TableRun {
   std::string Output;        ///< captured run() bytes.
   uint64_t RunNs = 0;        ///< serial emit time (cache-hit assembly).
   int ExitCode = 0;
+  uint64_t UndeclaredMisses = 0; ///< cells run() computed itself (gated).
 };
 
 /// Dedups every selected table's grid by runCached key, preserving first-
@@ -126,7 +130,9 @@ uint64_t runPass(std::vector<TableRun> &Tables,
     static TableRun *Current; // captureStdout takes a plain fn ptr.
     Current = &TR;
     uint64_t R0 = nowNs();
+    uint64_t Misses0 = driver::resultCacheStats().Misses;
     TR.ExitCode = captureStdout([] { return Current->T.Run(); }, TR.Output);
+    TR.UndeclaredMisses += driver::resultCacheStats().Misses - Misses0;
     TR.RunNs = nowNs() - R0;
     if (TR.ExitCode != 0)
       AnyFailed = true;
@@ -375,6 +381,9 @@ int main(int argc, char **argv) {
     std::fprintf(J, "  \"quick\": %s,\n", Quick ? "true" : "false");
     std::fprintf(J, "  \"measure\": %s,\n", Measure ? "true" : "false");
     std::fprintf(J, "  \"threads\": %u,\n", Threads);
+    std::fprintf(J, "  \"hardware_threads\": %u,\n",
+                 std::thread::hardware_concurrency());
+    std::fprintf(J, "  \"build_type\": \"%s\",\n", BSCHED_BUILD_TYPE);
     std::fprintf(J, "  \"store_enabled\": %s,\n",
                  driver::artifactStoreEnabled() ? "true" : "false");
     std::fprintf(J, "  \"tables\": [\n");
@@ -394,6 +403,11 @@ int main(int argc, char **argv) {
     std::fprintf(J, "  \"jobs_total\": %zu,\n", TotalJobs);
     std::fprintf(J, "  \"jobs_unique\": %zu,\n", Unique.size());
     std::fprintf(J, "  \"jobs_deduped\": %zu,\n", Saved);
+    uint64_t Undeclared = 0;
+    for (const TableRun &TR : Tables)
+      Undeclared += TR.UndeclaredMisses;
+    std::fprintf(J, "  \"undeclared_misses\": %llu,\n",
+                 static_cast<unsigned long long>(Undeclared));
     std::fprintf(J,
                  "  \"result_cache\": {\"hits\": %llu, \"misses\": %llu, "
                  "\"in_flight_waits\": %llu},\n",
@@ -456,6 +470,15 @@ int main(int argc, char **argv) {
   }
   if (VerifyFailed)
     Rc = 1;
+  for (const TableRun &TR : Tables)
+    if (TR.UndeclaredMisses != 0) {
+      std::fprintf(stderr,
+                   "SUITE GATE FAILED: table %s: run() missed the result "
+                   "cache %llu times on cells its jobs() did not declare\n",
+                   TR.T.Name.c_str(),
+                   static_cast<unsigned long long>(TR.UndeclaredMisses));
+      Rc = 1;
+    }
   if (Measure && MinDiskHitRate > 0 && DiskHitRate < MinDiskHitRate) {
     std::fprintf(stderr,
                  "SUITE GATE FAILED: disk hit rate %.3f < floor %.3f\n",

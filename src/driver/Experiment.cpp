@@ -4,16 +4,14 @@
 
 #include "driver/ArtifactStore.h"
 #include "driver/Artifacts.h"
+#include "driver/JobFields.h"
 #include "lang/Eval.h"
 #include "support/Serialize.h"
-#include "support/Str.h"
 #include "support/ThreadPool.h"
 
-#include <atomic>
-#include <memory>
-#include <mutex>
+#include <bit>
+#include <cstring>
 #include <string>
-#include <unordered_map>
 
 using namespace bsched;
 using namespace bsched::driver;
@@ -59,100 +57,65 @@ RunResult driver::runWorkload(const Workload &W, const CompileOptions &Opts,
 
 namespace {
 
-/// One memoized run. The once_flag serializes concurrent computations of
-/// the same key without holding its shard locked: the shard mutex only
-/// guards slot creation, and the first caller to reach call_once computes
-/// while later callers for that key block on the flag (not on the shard).
-struct CacheEntry {
-  std::once_flag Once;
-  std::atomic<bool> Done{false}; ///< stats-only: distinguishes hit from wait.
-  RunResult R;
-};
+ShardedMemo<std::string, RunResult> &results() {
+  static ShardedMemo<std::string, RunResult> Memo;
+  return Memo;
+}
 
-/// The result cache is sharded by key hash so workers running unrelated
-/// jobs never touch the same mutex: with one global lock, every compile of
-/// a batched sweep paid a serialized lookup, which dominated wall time once
-/// PRs 2/5 made the compiles themselves cheap. Entries live behind
-/// unique_ptr so the returned references stay valid however much a shard
-/// grows or rehashes: callers hold them across many later runCached calls.
-struct ResultShard {
-  std::mutex Mu;
-  std::unordered_map<std::string, std::unique_ptr<CacheEntry>> Map;
-  ResultCacheStats Stats;
-};
+ShardedMemo<const char *, uint64_t> &sourceDigests() {
+  static ShardedMemo<const char *, uint64_t> Memo;
+  return Memo;
+}
 
-/// Power of two comfortably above the worker counts this codebase runs.
-constexpr size_t NumResultShards = 16;
-
-ResultShard *resultShards() {
-  static ResultShard S[NumResultShards];
-  return S;
+/// FNV-1a of a workload's source text, taken once per text rather than once
+/// per key: a sweep keys each source once per configuration, often through
+/// one Workload view per configuration.
+uint64_t sourceDigest(const char *Source) {
+  return *sourceDigests().get(
+      Source, [Source] { return fnv1a(Source, std::strlen(Source)); });
 }
 
 } // namespace
 
-ResultCacheStats driver::resultCacheStats() {
-  ResultCacheStats Total;
-  for (size_t I = 0; I != NumResultShards; ++I) {
-    ResultShard &S = resultShards()[I];
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    Total.Hits += S.Stats.Hits;
-    Total.Misses += S.Stats.Misses;
-    Total.InFlightWaits += S.Stats.InFlightWaits;
-  }
-  return Total;
-}
+ResultCacheStats driver::resultCacheStats() { return results().stats(); }
 
 std::string driver::resultKey(const Workload &W, const CompileOptions &Opts,
-                              const sim::MachineConfig &Machine) {
-  return std::string(W.Name) + "|" + Opts.tag() + "|" +
-         (Machine.SimpleModel
-              ? "simple:" + fmtDouble(Machine.SimpleHitRate, 3)
-              : std::string("21164")) +
-         "|w" + std::to_string(Machine.IssueWidth) + "|p" +
-         std::to_string(Opts.Balance.PressureThreshold) +
-         (Opts.Balance.BalanceFixedOps ? "|bf" : "") + "|a" +
-         std::to_string(Opts.RegAlloc.AllocatablePerClass) +
-         // tag() already carries "+Est"; keep the explicit suffix
-         // as belt-and-braces (the ProfileCache layer separates
-         // the two profile kinds with its own key salt).
-         (Opts.UseEstimatedProfile ? "|est" : "") +
-         (Opts.VerifyPasses ? "" : "|nv") +
-         (Opts.Balance.Impl == sched::SchedImpl::Reference ? "|ref" : "") +
-         (Opts.Balance.Impl == sched::SchedImpl::Exact ? "|exact" : "") +
-         (Opts.TraceImpl == trace::TraceImpl::Reference ? "|trref" : "") +
-         (Machine.Impl == sim::SimImpl::Reference ? "|simref" : "");
+                              const sim::MachineConfig &Machine,
+                              std::string_view Salt) {
+  // Keys are compared and persisted as bytes: fixed-width native copies are
+  // canonical on the little-endian hosts this project builds for.
+  static_assert(std::endian::native == std::endian::little);
+  uint64_t Digest = sourceDigest(W.Source);
+  size_t NameLen = std::strlen(W.Name);
+  std::string Key(Salt.size() + sizeof(Digest) + leafBytes<CompileOptions>() +
+                      leafBytes<sim::MachineConfig>() + NameLen,
+                  '\0');
+  char *Out = Key.data();
+  auto Put = [&Out](const void *Data, size_t Len) {
+    std::memcpy(Out, Data, Len);
+    Out += Len;
+  };
+  auto PutLeaf = [&Put](const char *, const auto &V) { Put(&V, sizeof(V)); };
+  Put(Salt.data(), Salt.size());
+  Put(&Digest, sizeof(Digest));
+  forEachLeaf(PutLeaf, Opts);
+  forEachLeaf(PutLeaf, Machine);
+  Put(W.Name, NameLen);
+  return Key;
 }
 
 void driver::clearResultCache() {
-  for (size_t I = 0; I != NumResultShards; ++I) {
-    ResultShard &S = resultShards()[I];
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    S.Map.clear();
-  }
+  results().clear();
+  sourceDigests().clear();
 }
 
 const RunResult &driver::runCached(const Workload &W,
                                    const CompileOptions &Opts,
                                    const sim::MachineConfig &Machine) {
   std::string Key = resultKey(W, Opts, Machine);
-  size_t Hash = std::hash<std::string>{}(Key);
-  ResultShard &S = resultShards()[(Hash ^ (Hash >> 32)) & (NumResultShards - 1)];
-  CacheEntry *Entry;
-  {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    std::unique_ptr<CacheEntry> &Slot = S.Map[Key];
-    if (!Slot) {
-      Slot = std::make_unique<CacheEntry>();
-      ++S.Stats.Misses;
-    } else if (Slot->Done.load(std::memory_order_acquire)) {
-      ++S.Stats.Hits;
-    } else {
-      ++S.Stats.InFlightWaits;
-    }
-    Entry = Slot.get();
-  }
-  std::call_once(Entry->Once, [&] {
+  // The memo keeps the entry alive until clearResultCache, so the
+  // reference outlives the returned pointer.
+  return *results().get(Key, [&] {
     // Disk tier: a verified, decodable artifact substitutes for the
     // compute. Anything less degrades to runWorkload — a bad disk entry
     // can cost time, never correctness.
@@ -160,24 +123,20 @@ const RunResult &driver::runCached(const Workload &W,
     if (loadArtifact(Key, Blob)) {
       ByteReader Rd(Blob);
       RunResult Loaded;
-      if (decode(Rd, Loaded) && Rd.atEnd()) {
-        Entry->R = std::move(Loaded);
-        Entry->Done.store(true, std::memory_order_release);
-        return;
-      }
+      if (decode(Rd, Loaded) && Rd.atEnd())
+        return Loaded;
       noteArtifactDecodeFailure();
     }
-    Entry->R = runWorkload(W, Opts, Machine);
+    RunResult R = runWorkload(W, Opts, Machine);
     // Persist only clean results: errors are cheap to re-derive and must
     // not outlive the bug (or transient condition) that caused them.
-    if (Entry->R.ok() && artifactStoreEnabled()) {
+    if (R.ok() && artifactStoreEnabled()) {
       ByteWriter Wr;
-      encode(Wr, Entry->R);
+      encode(Wr, R);
       storeArtifact(Key, Wr.buffer());
     }
-    Entry->Done.store(true, std::memory_order_release);
+    return R;
   });
-  return Entry->R;
 }
 
 std::vector<const RunResult *>

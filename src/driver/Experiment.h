@@ -14,10 +14,13 @@
 #include "driver/Compiler.h"
 #include "driver/Workloads.h"
 #include "sim/Machine.h"
+#include "support/CodeVersion.h"
+#include "support/ShardedMemo.h"
 #include "support/ThreadPool.h"
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace bsched {
@@ -42,23 +45,27 @@ struct RunResult {
 RunResult runWorkload(const Workload &W, const CompileOptions &Opts,
                       const sim::MachineConfig &Machine = {});
 
-/// The content key runCached memoizes under: workload name + options tag +
-/// machine model + every option that changes the result. This exact string
-/// is also the persistent store's key material (ArtifactStore salts it with
-/// the schema version), and the suite runner deduplicates cross-table jobs
-/// by comparing it.
+/// The content key runCached memoizes under and the persistent store files
+/// results by: \p Salt, a digest of the workload's source text, every
+/// CompileOptions and MachineConfig field as fixed-width bytes (the field
+/// lists of driver/JobFields.h), and the workload's name. Two jobs share a
+/// key only if nothing that can change their result differs; the suite
+/// runner deduplicates cross-table jobs by comparing keys. \p Salt is the
+/// code version (support/CodeVersion.h), so results of other code never
+/// match. The source digest is memoized per text address until
+/// clearResultCache(), so a Workload's text must not change in place.
 std::string resultKey(const Workload &W, const CompileOptions &Opts,
-                      const sim::MachineConfig &Machine = {});
+                      const sim::MachineConfig &Machine = {},
+                      std::string_view Salt = codeVersion());
 
 /// Memoized variant keyed on resultKey(); the benchmark binaries use this
 /// so overlapping tables share runs.
 ///
-/// Thread-safe and sharded: the cache is split by key hash with one mutex
-/// per shard, so concurrent callers with distinct keys neither recompute
-/// nor contend on a shared lock; concurrent callers with the same key block
-/// until the first one finishes and then share its result (in-flight
-/// deduplication — a completed key is never recomputed). Returned
-/// references stay valid for the process lifetime (until clearResultCache).
+/// Thread-safe and deduplicating (support/ShardedMemo.h): concurrent
+/// callers with distinct keys neither recompute nor contend on a shared
+/// lock; concurrent callers with the same key block until the first one
+/// finishes and then share its result. Returned references stay valid until
+/// clearResultCache.
 ///
 /// When the persistent ArtifactStore is enabled, a memory miss first tries
 /// the disk tier: a verified on-disk artifact is decoded instead of
@@ -67,20 +74,18 @@ std::string resultKey(const Workload &W, const CompileOptions &Opts,
 const RunResult &runCached(const Workload &W, const CompileOptions &Opts,
                            const sim::MachineConfig &Machine = {});
 
-/// Empties every shard of the in-memory result cache. All references
-/// previously returned by runCached/runAll become dangling — callers are
-/// the suite runner (between its cold and warm measurement passes) and
-/// tests, which drop their results first. Must not race with runCached.
+/// Empties the in-memory result cache and the source-digest memo. All
+/// references previously returned by runCached/runAll become dangling —
+/// callers are the suite runner (between its cold and warm measurement
+/// passes) and tests, which drop their results first. Must not race with
+/// runCached. The counters keep counting.
 void clearResultCache();
 
 /// runCached observability, aggregated over shards. Hits found a completed
-/// entry, Misses paid the compile+simulate, InFlightWaits arrived while
-/// another thread was computing the same key and blocked on it.
-struct ResultCacheStats {
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t InFlightWaits = 0;
-};
+/// entry, Misses paid the compile+simulate (or the disk load), InFlightWaits
+/// arrived while another thread was computing the same key and blocked on
+/// it.
+using ResultCacheStats = MemoStats;
 ResultCacheStats resultCacheStats();
 
 /// One (workload, configuration, machine) cell of an experiment.

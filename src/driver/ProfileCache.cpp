@@ -2,18 +2,20 @@
 
 #include "driver/ProfileCache.h"
 
+#include "support/Serialize.h"
+#include "support/ShardedMemo.h"
 #include "trace/EstimateProfile.h"
-
-#include <atomic>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 using namespace bsched;
 using namespace bsched::driver;
 using namespace bsched::ir;
 
 namespace {
+
+/// Profile kinds share the cache but never a slot: the salt is the first
+/// word of every key, so an estimated profile cannot be served where an
+/// interpreted one was expected (they disagree on counts by design).
+enum class ProfileKind : uint64_t { Interpreted = 0, Estimated = 1 };
 
 /// FNV-1a over the module state the interpreter reads. Two modules with equal
 /// hashes-input produce identical InterpResults by construction: the
@@ -22,27 +24,8 @@ namespace {
 /// included). Scheduling metadata the interpreter never touches — memory
 /// dependence terms, hit/miss hints, locality groups, spill flags — is
 /// deliberately excluded so reschedulings of the same code share a profile.
-class Hasher {
-public:
-  void word(uint64_t V) {
-    for (int I = 0; I != 8; ++I) {
-      H ^= (V >> (8 * I)) & 0xff;
-      H *= 1099511628211ull;
-    }
-  }
-  uint64_t hash() const { return H; }
-
-private:
-  uint64_t H = 1469598103934665603ull;
-};
-
-/// Profile kinds share the cache but never a slot: the salt is the first
-/// word of every key, so an estimated profile cannot be served where an
-/// interpreted one was expected (they disagree on counts by design).
-enum class ProfileKind : uint64_t { Interpreted = 0, Estimated = 1 };
-
 uint64_t hashModule(const Module &M, uint64_t MaxInstrs, ProfileKind Kind) {
-  Hasher H;
+  Fnv1a H;
   H.word(static_cast<uint64_t>(Kind));
   H.word(MaxInstrs);
   H.word(M.MemorySize);
@@ -71,102 +54,33 @@ uint64_t hashModule(const Module &M, uint64_t MaxInstrs, ProfileKind Kind) {
       H.word(static_cast<uint64_t>(I.Target1));
     }
   }
-  return H.hash();
+  return H.get();
 }
-
-/// One memoized profile. The once_flag serializes concurrent computations
-/// of the same key without holding the shard locked: the shard mutex only
-/// guards slot creation, the first arrival interprets under call_once, and
-/// later arrivals for that key block on the flag (not on the shard).
-/// Entries are handed out as shared_ptr so an eviction sweep can drop the
-/// map without invalidating a computation a waiter is still blocked on.
-struct Entry {
-  std::once_flag Once;
-  std::atomic<bool> Done{false}; ///< stats-only: distinguishes hit from wait.
-  InterpResult R;
-};
-
-struct Shard {
-  std::mutex Mu;
-  std::unordered_map<uint64_t, std::shared_ptr<Entry>> Map;
-  ProfileCacheStats Stats;
-};
-
-/// Shard count: a power of two well above the worker counts this codebase
-/// runs (<= 16), so two workers profiling different modules almost never
-/// share a shard mutex.
-constexpr size_t NumShards = 8;
 
 /// Growth bound per shard: experiment sweeps see a few dozen distinct
-/// modules, fuzzing sees a stream of unique ones. Dropping a full shard on
-/// overflow keeps the worst case bounded without any bookkeeping on the hit
-/// path.
-constexpr size_t MaxEntriesPerShard = 64;
+/// modules, fuzzing sees a stream of unique ones.
+constexpr size_t MaxProfilesPerShard = 32;
 
-Shard *shards() {
-  static Shard S[NumShards];
-  return S;
-}
-
-/// Shared lookup-or-compute: finds/creates the slot for \p Key and runs
-/// \p Compute exactly once per key across all threads.
-template <typename ComputeFn>
-InterpResult cachedProfile(uint64_t Key, ComputeFn Compute) {
-  // FNV-1a mixes well into the low bits; fold the high half anyway so shard
-  // choice never degenerates for structured keys.
-  Shard &S = shards()[(Key ^ (Key >> 32)) & (NumShards - 1)];
-  std::shared_ptr<Entry> E;
-  {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    auto It = S.Map.find(Key);
-    if (It == S.Map.end()) {
-      if (S.Map.size() >= MaxEntriesPerShard)
-        S.Map.clear(); // waiters keep their entries alive via shared_ptr.
-      It = S.Map.emplace(Key, std::make_shared<Entry>()).first;
-      ++S.Stats.Misses;
-    } else if (It->second->Done.load(std::memory_order_acquire)) {
-      ++S.Stats.Hits;
-    } else {
-      ++S.Stats.InFlightWaits;
-    }
-    E = It->second;
-  }
-  std::call_once(E->Once, [&] {
-    E->R = Compute();
-    E->Done.store(true, std::memory_order_release);
-  });
-  return E->R;
+ShardedMemo<uint64_t, InterpResult> &profiles() {
+  static ShardedMemo<uint64_t, InterpResult> Memo(MaxProfilesPerShard);
+  return Memo;
 }
 
 } // namespace
 
 InterpResult driver::profileModule(const Module &M, uint64_t MaxInstrs) {
-  return cachedProfile(hashModule(M, MaxInstrs, ProfileKind::Interpreted),
-                       [&] { return interpret(M, MaxInstrs); });
+  return *profiles().get(hashModule(M, MaxInstrs, ProfileKind::Interpreted),
+                         [&] { return interpret(M, MaxInstrs); });
 }
 
 InterpResult driver::estimatedProfileModule(const Module &M) {
-  return cachedProfile(hashModule(M, 0, ProfileKind::Estimated),
-                       [&] { return trace::estimateProfile(M.Fn); });
+  return *profiles().get(hashModule(M, 0, ProfileKind::Estimated),
+                         [&] { return trace::estimateProfile(M.Fn); });
 }
 
-ProfileCacheStats driver::profileCacheStats() {
-  ProfileCacheStats Total;
-  for (size_t I = 0; I != NumShards; ++I) {
-    Shard &S = shards()[I];
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    Total.Hits += S.Stats.Hits;
-    Total.Misses += S.Stats.Misses;
-    Total.InFlightWaits += S.Stats.InFlightWaits;
-  }
-  return Total;
-}
+ProfileCacheStats driver::profileCacheStats() { return profiles().stats(); }
 
 void driver::clearProfileCache() {
-  for (size_t I = 0; I != NumShards; ++I) {
-    Shard &S = shards()[I];
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    S.Map.clear();
-    S.Stats = {};
-  }
+  profiles().clear();
+  profiles().resetStats();
 }

@@ -24,6 +24,7 @@
 #define BALSCHED_DRIVER_PROFILECACHE_H
 
 #include "ir/Interp.h"
+#include "support/ShardedMemo.h"
 
 #include <cstdint>
 
@@ -34,10 +35,9 @@ namespace driver {
 /// execution-relevant content. Thread-safe; results are bit-identical to an
 /// uncached run.
 ///
-/// The cache is sharded by key hash with a mutex per shard, so concurrent
-/// compiles of unrelated modules never serialize on one lock, and each
-/// shard deduplicates in-flight computations: the first miss on a key
-/// interprets while later arrivals for the same key block on that one
+/// The cache is a bounded support/ShardedMemo: concurrent compiles of
+/// unrelated modules never serialize on one lock, and the first miss on a
+/// key interprets while later arrivals for the same key block on that one
 /// computation instead of redundantly re-interpreting (profiling is the
 /// most expensive phase of a cold trace-scheduled compile, so a thundering
 /// herd on one hot module would otherwise multiply it by the worker count).
@@ -52,14 +52,11 @@ ir::InterpResult profileModule(const ir::Module &M,
 ir::InterpResult estimatedProfileModule(const ir::Module &M);
 
 /// Cache observability for benchmarks and tests, aggregated over shards.
-struct ProfileCacheStats {
-  uint64_t Hits = 0;          ///< key present and already computed.
-  uint64_t Misses = 0;        ///< first arrival; pays the interpretation.
-  uint64_t InFlightWaits = 0; ///< arrived while another thread computed it.
-};
+using ProfileCacheStats = MemoStats;
 ProfileCacheStats profileCacheStats();
 
-/// Drops every cached profile (tests use this to measure cold behaviour).
+/// Drops every cached profile and zeroes the counters (tests use this to
+/// measure cold behaviour).
 void clearProfileCache();
 
 } // namespace driver

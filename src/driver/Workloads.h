@@ -27,7 +27,10 @@ struct Workload {
   const char *Language;    ///< the original's language ("Fortran" / "C").
   const char *Description; ///< Table-1 description of the original.
   const char *Behaviour;   ///< what the analogue is engineered to do.
-  const char *Source;      ///< kernel-language text.
+  /// Kernel-language text. Result keys memoize its digest by address until
+  /// driver::clearResultCache(), so the text must stay unchanged, and its
+  /// storage unreused, until then.
+  const char *Source;
 };
 
 /// The full 17-kernel workload, in the paper's Table-1 order.

@@ -2,8 +2,13 @@
 
 #include "fuzz/Repro.h"
 
-#include <cstdlib>
+#include "driver/JobFields.h"
+
+#include <algorithm>
+#include <charconv>
+#include <span>
 #include <sstream>
+#include <type_traits>
 
 using namespace bsched;
 using namespace bsched::fuzz;
@@ -11,32 +16,55 @@ using namespace bsched::driver;
 
 namespace {
 
-const char *schedulerName(sched::SchedulerKind K) {
-  switch (K) {
-  case sched::SchedulerKind::Traditional: return "traditional";
-  case sched::SchedulerKind::Balanced: return "balanced";
-  case sched::SchedulerKind::Hybrid: return "hybrid";
-  }
-  return "?";
+std::span<const char *const> spellings(sched::SchedulerKind) {
+  static constexpr const char *Names[] = {"traditional", "balanced", "hybrid"};
+  return Names;
+}
+std::span<const char *const> spellings(sched::SchedImpl) {
+  static constexpr const char *Names[] = {"fast", "reference", "exact"};
+  return Names;
+}
+std::span<const char *const> spellings(trace::TraceImpl) {
+  static constexpr const char *Names[] = {"fast", "reference"};
+  return Names;
 }
 
-bool parseScheduler(const std::string &V, sched::SchedulerKind &Out) {
-  if (V == "traditional")
-    Out = sched::SchedulerKind::Traditional;
-  else if (V == "balanced")
-    Out = sched::SchedulerKind::Balanced;
-  else if (V == "hybrid")
-    Out = sched::SchedulerKind::Hybrid;
-  else
-    return false;
-  return true;
+/// Enums by name, switches as 0/1, numbers in the shortest form that reads
+/// back to the same value.
+template <typename T> std::string formatValue(T V) {
+  if constexpr (std::is_enum_v<T>) {
+    return spellings(V)[static_cast<size_t>(V)];
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return V ? "1" : "0";
+  } else {
+    char Buf[32];
+    return std::string(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+  }
+}
+
+/// The inverse of formatValue: false on any text it does not produce.
+template <typename T> bool parseValue(const std::string &Text, T &Out) {
+  if constexpr (std::is_enum_v<T>) {
+    std::span<const char *const> Names = spellings(Out);
+    auto It = std::find(Names.begin(), Names.end(), Text);
+    if (It == Names.end())
+      return false;
+    Out = static_cast<T>(It - Names.begin());
+    return true;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    Out = Text == "1";
+    return Text == "0" || Text == "1";
+  } else {
+    const char *End = Text.data() + Text.size();
+    std::from_chars_result R = std::from_chars(Text.data(), End, Out);
+    return R.ec == std::errc() && R.ptr == End;
+  }
 }
 
 } // namespace
 
 std::string fuzz::writeRepro(const Repro &R) {
   const CompileOptions D; // defaults: only deviations are written
-  const CompileOptions &O = R.Options;
   std::ostringstream S;
   S << "# bsched-fuzz repro\n";
   if (!R.Kind.empty())
@@ -52,37 +80,12 @@ std::string fuzz::writeRepro(const Repro &R) {
   if (!R.MachineTag.empty())
     S << "machine: " << R.MachineTag << "\n";
 
-  auto OptInt = [&S](const char *Key, long long V, long long Default) {
-    if (V != Default)
-      S << "option " << Key << " " << V << "\n";
-  };
-  if (O.Scheduler != D.Scheduler)
-    S << "option scheduler " << schedulerName(O.Scheduler) << "\n";
-  OptInt("unroll", O.UnrollFactor, D.UnrollFactor);
-  OptInt("trace", O.TraceScheduling, D.TraceScheduling);
-  OptInt("estprofile", O.UseEstimatedProfile, D.UseEstimatedProfile);
-  OptInt("locality", O.LocalityAnalysis, D.LocalityAnalysis);
-  OptInt("cleanup", O.CleanupIR, D.CleanupIR);
-  OptInt("verify", O.VerifyPasses, D.VerifyPasses);
-  OptInt("strengthred", O.Lower.StrengthReduction,
-         D.Lower.StrengthReduction);
-  OptInt("ifconv", O.Lower.IfConversion, D.Lower.IfConversion);
-  OptInt("allocatable", O.RegAlloc.AllocatablePerClass,
-         D.RegAlloc.AllocatablePerClass);
-  OptInt("balancefixed", O.Balance.BalanceFixedOps,
-         D.Balance.BalanceFixedOps);
-  OptInt("respecthits", O.Balance.RespectHitAnnotations,
-         D.Balance.RespectHitAnnotations);
-  OptInt("pressure", O.Balance.PressureThreshold,
-         D.Balance.PressureThreshold);
-  OptInt("hybridcost", O.Balance.HybridLoadCost, D.Balance.HybridLoadCost);
-  if (O.Balance.WeightCap != D.Balance.WeightCap)
-    S << "option weightcap " << O.Balance.WeightCap << "\n";
-  if (O.Balance.Impl != D.Balance.Impl)
-    S << "option impl "
-      << (O.Balance.Impl == sched::SchedImpl::Reference ? "reference"
-                                                        : "exact")
-      << "\n";
+  forEachLeaf(
+      [&S](const char *Name, auto V, auto Default) {
+        if (V != Default)
+          S << "option " << Name << " " << formatValue(V) << "\n";
+      },
+      R.Options, D);
   S << "---\n";
   S << R.Source;
   if (!R.Source.empty() && R.Source.back() != '\n')
@@ -126,63 +129,20 @@ bool fuzz::parseRepro(const std::string &Text, Repro &Out, std::string &Err) {
         Err = "line " + std::to_string(LineNo) + ": malformed option";
         return false;
       }
-      CompileOptions &O = Out.Options;
-      if (Key == "scheduler") {
-        if (!parseScheduler(Value, O.Scheduler)) {
-          Err = "line " + std::to_string(LineNo) + ": unknown scheduler '" +
-                Value + "'";
-          return false;
-        }
-        continue;
-      }
-      if (Key == "weightcap") {
-        O.Balance.WeightCap = std::strtod(Value.c_str(), nullptr);
-        continue;
-      }
-      if (Key == "impl") {
-        if (Value == "fast")
-          O.Balance.Impl = sched::SchedImpl::Fast;
-        else if (Value == "reference")
-          O.Balance.Impl = sched::SchedImpl::Reference;
-        else if (Value == "exact")
-          O.Balance.Impl = sched::SchedImpl::Exact;
-        else {
-          Err = "line " + std::to_string(LineNo) + ": unknown impl '" +
-                Value + "'";
-          return false;
-        }
-        continue;
-      }
-      long long V = std::strtoll(Value.c_str(), nullptr, 10);
-      if (Key == "unroll")
-        O.UnrollFactor = static_cast<int>(V);
-      else if (Key == "trace")
-        O.TraceScheduling = V != 0;
-      else if (Key == "estprofile")
-        O.UseEstimatedProfile = V != 0;
-      else if (Key == "locality")
-        O.LocalityAnalysis = V != 0;
-      else if (Key == "cleanup")
-        O.CleanupIR = V != 0;
-      else if (Key == "verify")
-        O.VerifyPasses = V != 0;
-      else if (Key == "strengthred")
-        O.Lower.StrengthReduction = V != 0;
-      else if (Key == "ifconv")
-        O.Lower.IfConversion = V != 0;
-      else if (Key == "allocatable")
-        O.RegAlloc.AllocatablePerClass = static_cast<unsigned>(V);
-      else if (Key == "balancefixed")
-        O.Balance.BalanceFixedOps = V != 0;
-      else if (Key == "respecthits")
-        O.Balance.RespectHitAnnotations = V != 0;
-      else if (Key == "pressure")
-        O.Balance.PressureThreshold = static_cast<unsigned>(V);
-      else if (Key == "hybridcost")
-        O.Balance.HybridLoadCost = static_cast<int>(V);
-      else {
-        Err = "line " + std::to_string(LineNo) + ": unknown option '" + Key +
-              "'";
+      bool Known = false, Parsed = false;
+      forEachLeaf(
+          [&](const char *Name, auto &Field) {
+            if (Key == Name) {
+              Known = true;
+              Parsed = parseValue(Value, Field);
+            }
+          },
+          Out.Options);
+      if (!Known || !Parsed) {
+        Err = "line " + std::to_string(LineNo) + ": " +
+              (Known ? "bad value '" + Value + "' for option '"
+                     : "unknown option '") +
+              Key + "'";
         return false;
       }
       continue;

@@ -20,6 +20,19 @@
 ///   array a0[16] output;
 ///   ...
 ///
+/// One `option <name> <value>` line per CompileOptions field that differs
+/// from its default. The names and the field order come from the field lists
+/// in driver/JobFields.h, which cover every field:
+///
+///   scheduler unroll trace estprofile locality cleanup stopbeforeregalloc
+///   verify weightcap respecthits pressure balancefixed hybridcost impl
+///   exactnodes exactexpansions exactloadlatency ifconv strengthred
+///   allocatable traceimpl
+///
+/// Values: `scheduler` is traditional|balanced|hybrid, `impl` is
+/// fast|reference|exact, `traceimpl` is fast|reference, switches are 0|1,
+/// and numbers are written in the shortest form that reads back exactly.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BALSCHED_FUZZ_REPRO_H

@@ -376,13 +376,17 @@ private:
 
   /// Safe to execute \p I when the branch to \p OffTraceBlock is taken:
   /// not a store, and the written register is dead on that path. Loads are
-  /// treated as non-faulting when speculated.
+  /// treated as non-faulting when speculated. A compensation block created
+  /// after \p L was solved has no liveness row, so nothing that writes a
+  /// register is speculated above a branch to it.
   bool isSpeculationSafe(const Instr &I, int OffTraceBlock,
                          const Liveness &L) {
     if (I.isStore())
       return false;
     Reg D = I.def();
-    if (D.isValid() && L.isLiveIn(OffTraceBlock, D))
+    if (D.isValid() &&
+        (static_cast<size_t>(OffTraceBlock) >= L.LiveIn.size() ||
+         L.isLiveIn(OffTraceBlock, D)))
       return false;
     // Conditional moves read their old destination; hoisting one above a
     // split re-reads state but writes only D, covered above.

@@ -257,6 +257,7 @@ TEST_F(ArtifactStoreTest, UndecodablePayloadDegradesToRecompute) {
   CompileOptions Opts;
   const RunResult &First = runCached(W, Opts);
   ASSERT_TRUE(First.ok());
+  uint64_t FirstCycles = First.Sim.Cycles; // First dies with the clear below.
 
   // Replace the entry with a VALID store file whose payload is garbage for
   // the RunResult decoder.
@@ -267,10 +268,44 @@ TEST_F(ArtifactStoreTest, UndecodablePayloadDegradesToRecompute) {
   resetArtifactStoreStats();
   const RunResult &R = runCached(W, Opts);
   ASSERT_TRUE(R.ok()) << R.Error;
-  EXPECT_EQ(R.Sim.Cycles, First.Sim.Cycles);
+  EXPECT_EQ(R.Sim.Cycles, FirstCycles);
   ArtifactStoreStats S = artifactStoreStats();
   EXPECT_EQ(S.CorruptRejected, 1u); // noteArtifactDecodeFailure reclassified
   EXPECT_EQ(S.DiskHits, 0u);        // ...the provisional hit
+}
+
+/// The store is keyed on content and code: a workload whose source text
+/// changed under the same name, and a key built by other code (another
+/// salt), are counted disk misses, never hits on the stale entry.
+TEST_F(ArtifactStoreTest, EditedSourceOrOtherCodeMissesTheDisk) {
+  const Workload &W = workloads().front();
+  CompileOptions Opts;
+  ASSERT_TRUE(runCached(W, Opts).ok());
+  ASSERT_EQ(artifactStoreStats().Writes, 1u);
+
+  // One more trailing newline: the same program, but other text.
+  std::string Edited = std::string(W.Source) + "\n";
+  Workload EditedW = W;
+  EditedW.Source = Edited.c_str();
+  clearResultCache();
+  resetArtifactStoreStats();
+  ASSERT_TRUE(runCached(EditedW, Opts).ok());
+  ArtifactStoreStats S = artifactStoreStats();
+  EXPECT_EQ(S.DiskHits, 0u);
+  EXPECT_EQ(S.DiskMisses, 1u);
+
+  resetArtifactStoreStats();
+  std::string Blob;
+  EXPECT_FALSE(loadArtifact(resultKey(W, Opts, {}, "other code"), Blob));
+  S = artifactStoreStats();
+  EXPECT_EQ(S.DiskHits, 0u);
+  EXPECT_EQ(S.DiskMisses, 1u);
+
+  // The unchanged job still hits its entry.
+  clearResultCache();
+  resetArtifactStoreStats();
+  ASSERT_TRUE(runCached(W, Opts).ok());
+  EXPECT_EQ(artifactStoreStats().DiskHits, 1u);
 }
 
 /// Disk-tier results are indistinguishable from computed ones: same cycle

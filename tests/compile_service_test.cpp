@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Experiment.h"
+#include "driver/JobFields.h"
 #include "driver/ProfileCache.h"
 #include "driver/Workloads.h"
 #include "lower/Lower.h"
@@ -16,6 +17,8 @@
 #include "trace/EstimateProfile.h"
 
 #include <gtest/gtest.h>
+#include <set>
+#include <type_traits>
 #include <vector>
 
 using namespace bsched;
@@ -53,7 +56,77 @@ std::vector<ExperimentJob> tenantJobs() {
   return Jobs;
 }
 
+/// A value of \p V's type other than \p V.
+template <typename T> T perturbed(T V) {
+  if constexpr (std::is_same_v<T, bool>)
+    return !V;
+  else if constexpr (std::is_enum_v<T>)
+    return static_cast<T>(static_cast<std::underlying_type_t<T>>(V) + 1);
+  else
+    return V + 1;
+}
+
+/// Perturbs leaf \p Index (list order) of every default \p T in turn and
+/// hands each variant to \p Check with the leaf's name; returns how many
+/// leaves there were.
+template <typename T, typename CheckFn> size_t eachLeafVariant(CheckFn Check) {
+  for (size_t Index = 0;; ++Index) {
+    T Variant{};
+    const char *Changed = nullptr;
+    size_t Leaf = 0;
+    forEachLeaf(
+        [&](const char *Name, auto &V) {
+          if (Leaf++ == Index) {
+            V = perturbed(V);
+            Changed = Name;
+          }
+        },
+        Variant);
+    if (!Changed)
+      return Index;
+    Check(Variant, Changed);
+  }
+}
+
 } // namespace
+
+// The key covers every option and machine field: changing any single leaf
+// of the field lists (and so any member, by the lists' static guards) gives
+// a key no other job has.
+TEST(ResultKey, EveryFieldChangesTheKey) {
+  const Workload &W = workloads().front();
+  std::set<std::string> Keys = {resultKey(W, {}, {})};
+  size_t Options = eachLeafVariant<CompileOptions>(
+      [&](const CompileOptions &O, const char *Name) {
+        EXPECT_TRUE(Keys.insert(resultKey(W, O, {})).second)
+            << "option " << Name;
+      });
+  size_t Machine = eachLeafVariant<sim::MachineConfig>(
+      [&](const sim::MachineConfig &M, const char *Name) {
+        EXPECT_TRUE(Keys.insert(resultKey(W, {}, M)).second)
+            << "machine field " << Name;
+      });
+  EXPECT_GT(Options, 0u);
+  EXPECT_GT(Machine, 0u);
+}
+
+// ...and the workload's source text, its name and the code version.
+TEST(ResultKey, SourceNameAndSaltChangeTheKey) {
+  const Workload &W = workloads().front();
+  std::string Edited = std::string(W.Source) + "\n";
+  Workload EditedW = W;
+  EditedW.Source = Edited.c_str();
+  Workload RenamedW = W;
+  RenamedW.Name = "renamed";
+
+  std::set<std::string> Keys = {resultKey(W, {}, {})};
+  EXPECT_TRUE(Keys.insert(resultKey(EditedW, {}, {})).second);
+  EXPECT_TRUE(Keys.insert(resultKey(RenamedW, {}, {})).second);
+  EXPECT_TRUE(Keys.insert(resultKey(W, {}, {}, "another salt")).second);
+  // Deterministic: the same job keys the same way again.
+  EXPECT_EQ(Keys.count(resultKey(W, {}, {})), 1u);
+  clearResultCache(); // Edited dies here; drop its memoized digest first.
+}
 
 // Hammer runCached from 8 workers with every key requested many times
 // concurrently: each completed key is computed exactly once (the miss
@@ -207,7 +280,7 @@ TEST(CompileService, ProfileCacheSurvivesEviction) {
   const ir::Module &M = LR.M;
 
   clearProfileCache();
-  constexpr size_t Distinct = 600; // > total cache capacity (8 x 64).
+  constexpr size_t Distinct = 600; // > total cache capacity (16 x 32).
   constexpr uint64_t BaseBudget = 1000000000ull;
   std::vector<uint64_t> Checksums(Distinct * 2);
   ThreadPool::parallelForChunked(

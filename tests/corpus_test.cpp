@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/JobFields.h"
 #include "fuzz/Oracle.h"
 #include "fuzz/Repro.h"
 
@@ -24,6 +25,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace bsched;
@@ -78,6 +80,80 @@ TEST_P(CorpusReplay, ReplaysClean) {
   EXPECT_EQ(F.Kind, FailureKind::None)
       << GetParam() << " (recorded kind '" << R.Kind
       << "') regressed: " << failureKindName(F.Kind) << " " << F.Detail;
+}
+
+// The options each committed file spells out, set by hand: the parser, which
+// the field lists of driver/JobFields.h generate, must read exactly these.
+TEST(Corpus, ParsesToPinnedOptions) {
+  using Setter = void (*)(driver::CompileOptions &);
+  const std::pair<const char *, Setter> Pins[] = {
+      {"seed-compaction-deep-trace",
+       [](driver::CompileOptions &O) {
+         O.UnrollFactor = 8;
+         O.TraceScheduling = true;
+         O.Balance.PressureThreshold = 0;
+         O.Balance.BalanceFixedOps = true;
+       }},
+      {"seed-est-profile-nested",
+       [](driver::CompileOptions &O) {
+         O.UnrollFactor = 2;
+         O.TraceScheduling = true;
+         O.UseEstimatedProfile = true;
+       }},
+      {"seed-estprofile-branches",
+       [](driver::CompileOptions &O) {
+         O.UnrollFactor = 4;
+         O.TraceScheduling = true;
+         O.UseEstimatedProfile = true;
+       }},
+      {"seed-gap-balanced-loads",
+       [](driver::CompileOptions &O) { O.UnrollFactor = 4; }},
+      {"seed-gap-trace",
+       [](driver::CompileOptions &O) {
+         O.UnrollFactor = 2;
+         O.TraceScheduling = true;
+       }},
+      {"seed-gap-traditional-fp",
+       [](driver::CompileOptions &O) {
+         O.Scheduler = sched::SchedulerKind::Traditional;
+         O.UnrollFactor = 2;
+       }},
+      {"seed-sim-oddgeom", [](driver::CompileOptions &) {}},
+      {"seed-sim-starved", [](driver::CompileOptions &) {}},
+      {"seed-spill-pressure",
+       [](driver::CompileOptions &O) {
+         O.UnrollFactor = 8;
+         O.TraceScheduling = true;
+         O.RegAlloc.AllocatablePerClass = 4;
+       }},
+      {"seed-trace-uncovered-compensation",
+       [](driver::CompileOptions &O) {
+         O.TraceScheduling = true;
+         O.Lower.IfConversion = false;
+       }},
+      {"seed-traditional-unroll",
+       [](driver::CompileOptions &O) {
+         O.Scheduler = sched::SchedulerKind::Traditional;
+         O.UnrollFactor = 4;
+       }},
+  };
+  for (const auto &[Stem, Set] : Pins) {
+    std::string Path = std::string(BSCHED_CORPUS_DIR) + "/" + Stem + ".repro";
+    std::ifstream In(Path);
+    ASSERT_TRUE(In.good()) << Path;
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    Repro R;
+    std::string Err;
+    ASSERT_TRUE(parseRepro(Buf.str(), R, Err)) << Path << ": " << Err;
+    driver::CompileOptions Want;
+    Set(Want);
+    driver::forEachLeaf(
+        [&](const char *Name, const auto &Got, const auto &Pinned) {
+          EXPECT_TRUE(Got == Pinned) << Stem << ": option " << Name;
+        },
+        R.Options, Want);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Repros, CorpusReplay,

@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/JobFields.h"
 #include "fuzz/Fuzzer.h"
 #include "fuzz/Mutate.h"
 #include "fuzz/Oracle.h"
@@ -20,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <type_traits>
 
 using namespace bsched;
 using namespace bsched::fuzz;
@@ -254,29 +257,42 @@ TEST(Reducer, StripsUnneededOptions) {
 // Repro files
 //===----------------------------------------------------------------------===//
 
+// Every CompileOptions field round-trips, each set off its default at once;
+// the weight cap needs all 17 significant digits.
 TEST(Repro, RoundTripsOptionsAndSource) {
   Repro R;
   R.Kind = "sim-twin-divergence";
   R.Detail = "MshrStallCycles fast=12 ref=13";
   R.MachineTag = "starved";
-  R.Options.Scheduler = sched::SchedulerKind::Traditional;
-  R.Options.UnrollFactor = 8;
-  R.Options.TraceScheduling = true;
-  R.Options.RegAlloc.AllocatablePerClass = 4;
   R.Source = "array a[8] output;\na[0] = 1.0;\n";
+  driver::forEachLeaf(
+      [](const char *, auto &V) {
+        using T = std::remove_reference_t<decltype(V)>;
+        if constexpr (std::is_same_v<T, bool>)
+          V = !V;
+        else if constexpr (std::is_enum_v<T>)
+          V = static_cast<T>(static_cast<std::underlying_type_t<T>>(V) + 1);
+        else
+          V = V + 1;
+      },
+      R.Options);
+  R.Options.Balance.WeightCap = 37.123456789012345;
 
   Repro Out;
   std::string Err;
-  ASSERT_TRUE(parseRepro(writeRepro(R), Out, Err)) << Err;
+  std::string Text = writeRepro(R);
+  ASSERT_TRUE(parseRepro(Text, Out, Err)) << Err;
   EXPECT_EQ(Out.Kind, R.Kind);
   EXPECT_EQ(Out.Detail, R.Detail);
   EXPECT_EQ(Out.MachineTag, R.MachineTag);
-  EXPECT_EQ(Out.Options.Scheduler, R.Options.Scheduler);
-  EXPECT_EQ(Out.Options.UnrollFactor, R.Options.UnrollFactor);
-  EXPECT_EQ(Out.Options.TraceScheduling, R.Options.TraceScheduling);
-  EXPECT_EQ(Out.Options.RegAlloc.AllocatablePerClass,
-            R.Options.RegAlloc.AllocatablePerClass);
   EXPECT_EQ(Out.Source, R.Source);
+  std::set<std::string> Names;
+  driver::forEachLeaf(
+      [&](const char *Name, const auto &Got, const auto &Want) {
+        EXPECT_TRUE(Names.insert(Name).second) << "duplicate name " << Name;
+        EXPECT_TRUE(Got == Want) << "option " << Name << " in\n" << Text;
+      },
+      Out.Options, R.Options);
 }
 
 TEST(Repro, RejectsMalformedInput) {
