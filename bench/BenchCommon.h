@@ -1,9 +1,10 @@
 //===- bench/BenchCommon.h - Shared helpers for the table benches -*- C++ -*-===//
 ///
 /// \file
-/// Helpers shared by the table-regenerating bench binaries: configuration
-/// constructors, the per-benchmark run loop with failure reporting, and
-/// printf-free table emission.
+/// Helpers shared by the table sources and the tracker benches:
+/// configuration constructors, the per-benchmark run loop with failure
+/// reporting, the latency-probe compile, printf-free table emission, and
+/// wall-clock timing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,8 @@
 #include "support/Str.h"
 #include "support/Table.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
@@ -56,6 +59,20 @@ mustRun(const driver::Workload &W, const driver::CompileOptions &Opts,
   return R;
 }
 
+/// Compiles a hand-written latency probe under traditional list scheduling
+/// and exits with the compile error on failure. The IR cleanup stays off: it
+/// would rewrite the serial chains the probes time.
+inline ir::Module compileProbe(const std::string &Src, const char *Name) {
+  driver::CompileOptions O = traditional();
+  O.CleanupIR = false;
+  driver::CompileResult R = driver::compileSource(Src, Name, O);
+  if (!R.ok()) {
+    std::fprintf(stderr, "FATAL: %s: %s\n", Name, R.Error.c_str());
+    std::exit(1);
+  }
+  return std::move(R.M);
+}
+
 /// The full (workload x options x machine) grid as an ExperimentJob list —
 /// the shape every table's jobs() registration is built from.
 inline std::vector<driver::ExperimentJob>
@@ -81,6 +98,25 @@ inline void heading(const char *Text) {
   for (const char *C = Text; *C; ++C)
     std::fputc('=', stdout);
   std::fputs("\n\n", stdout);
+}
+
+inline uint64_t nowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// Best-of-\p Reps wall time of \p Fn, in nanoseconds (the minimum absorbs
+/// scheduler noise).
+template <typename FnT> uint64_t bestOf(int Reps, FnT Fn) {
+  uint64_t Best = ~0ull;
+  for (int R = 0; R != Reps; ++R) {
+    uint64_t T0 = nowNs();
+    Fn();
+    Best = std::min(Best, nowNs() - T0);
+  }
+  return Best;
 }
 
 } // namespace bench

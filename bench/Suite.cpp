@@ -10,11 +10,6 @@
 using namespace bsched;
 using namespace bsched::bench;
 
-int bench::runTableStandalone(const SuiteTable &T) {
-  driver::runAll(T.Jobs());
-  return T.Run();
-}
-
 int bench::captureStdout(int (*Fn)(), std::string &Captured) {
   Captured.clear();
   std::fflush(stdout);

@@ -1,8 +1,9 @@
 //===- bench/Suite.h - Unified suite-runner table registry ------*- C++ -*-===//
 ///
 /// \file
-/// The contract between the table benches and the bsched-suite orchestrator.
-/// Each table bench is a pair of functions instead of a main():
+/// The contract between the table sources and the bsched-suite orchestrator,
+/// the one way to run a paper table (`bsched-suite --tables <name>`). Each
+/// table source bench/bench_<name>.cpp is a pair of functions:
 ///
 ///   - jobs(): the (workload, options, machine) grid of every runCached cell
 ///     the table reads — the part worth deduplicating and parallelizing;
@@ -10,15 +11,12 @@
 ///     touches still goes through runCached, so it is correct — just slower
 ///     — without a warm cache).
 ///
-/// BSCHED_SUITE_TABLE(name, title) glues them in: it exports the table
-/// descriptor under a well-known symbol for the suite binary and, unless the
-/// translation unit is being compiled into the suite (BSCHED_SUITE_BUILD),
-/// defines the standalone main() — pre-run the grid on the pool, then emit.
-/// One source file therefore builds both the historical per-table binary and
-/// the suite member, and the two produce byte-identical output: run() is the
-/// single emitter, and runCached results are deterministic for any thread
-/// count and either cache tier (the suite_test and the suite's
-/// --verify-standalone mode both assert the bytes).
+/// BSCHED_SUITE_TABLE(name, title) exports the pair as a table descriptor
+/// under a well-known symbol, which the suite collects through
+/// BSCHED_SUITE_ALL_TABLES. run() is the single emitter and runCached
+/// results are deterministic for any thread count and either cache tier, so
+/// a table's bytes never depend on which tables ran beside it (suite_test
+/// asserts this and pins tables 1-4 to their recorded FNV-1a).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,16 +33,11 @@ namespace bench {
 
 /// One registered table bench.
 struct SuiteTable {
-  std::string Name;  ///< matches the standalone binary: bench_<Name>.
+  std::string Name;  ///< matches the source file: bench/bench_<Name>.cpp.
   std::string Title; ///< one-line description for --list and the JSON.
   std::vector<driver::ExperimentJob> (*Jobs)();
   int (*Run)();
 };
-
-/// Standalone-binary behaviour: pre-run the grid on the shared pool (the old
-/// inline bench::warm call), then emit. Exposed so the per-table main()s
-/// stay one line.
-int runTableStandalone(const SuiteTable &T);
 
 /// Runs \p Fn with stdout redirected into \p Captured (fd-level, so C stdio
 /// from the table code is included). Returns Fn's return value; on capture
@@ -55,7 +48,8 @@ int captureStdout(int (*Fn)(), std::string &Captured);
 /// Every suite table, in canonical (paper) order. Each X(name) names a
 /// translation unit that invokes BSCHED_SUITE_TABLE(name, ...); the suite
 /// binary expands this list to declare and collect the descriptors, so a
-/// new table registers by adding one line here and one macro call there.
+/// new table registers by adding one line here, one macro call there, and
+/// its source to the table library in bench/CMakeLists.txt.
 #define BSCHED_SUITE_ALL_TABLES(X)                                            \
   X(table1_workload)                                                          \
   X(table2_memory)                                                            \
@@ -81,23 +75,11 @@ int captureStdout(int (*Fn)(), std::string &Captured);
 #define BSCHED_SUITE_DECLARE(NAME)                                            \
   ::bsched::bench::SuiteTable bsched_suite_table_##NAME();
 
-#ifdef BSCHED_SUITE_BUILD
-#define BSCHED_SUITE_MAIN_IMPL(NAME)
-#else
-#define BSCHED_SUITE_MAIN_IMPL(NAME)                                          \
-  int main() {                                                                \
-    return ::bsched::bench::runTableStandalone(                               \
-        bsched_suite_table_##NAME());                                         \
-  }
-#endif
-
 /// Registers the enclosing file's jobs()/run() pair (any file-scope callables
-/// with those signatures) as suite table \p NAME, and emits the standalone
-/// main() when not building the suite.
+/// with those signatures) as suite table \p NAME.
 #define BSCHED_SUITE_TABLE(NAME, TITLE)                                       \
   ::bsched::bench::SuiteTable bsched_suite_table_##NAME() {                   \
     return {#NAME, TITLE, &jobs, &run};                                       \
-  }                                                                           \
-  BSCHED_SUITE_MAIN_IMPL(NAME)
+  }
 
 #endif // BALSCHED_BENCH_SUITE_H

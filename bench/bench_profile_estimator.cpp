@@ -28,6 +28,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
 #include "driver/Experiment.h"
 #include "driver/Workloads.h"
 #include "ir/Interp.h"
@@ -35,11 +36,11 @@
 #include "locality/Locality.h"
 #include "lower/Lower.h"
 #include "opt/Cleanup.h"
+#include "support/Serialize.h"
 #include "support/Str.h"
 #include "trace/EstimateProfile.h"
 #include "xform/Unroll.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,38 +50,10 @@
 #include <vector>
 
 using namespace bsched;
+using namespace bsched::bench;
 using namespace bsched::driver;
 
 namespace {
-
-uint64_t nowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Best-of-N wall time of \p Fn in nanoseconds (min absorbs scheduler noise;
-/// the estimator runs in microseconds, so take more reps for it).
-template <typename FnT> uint64_t bestOf(int Reps, FnT Fn) {
-  uint64_t Best = ~0ull;
-  for (int R = 0; R != Reps; ++R) {
-    uint64_t T0 = nowNs();
-    Fn();
-    uint64_t T = nowNs() - T0;
-    Best = std::min(Best, T);
-  }
-  return Best;
-}
-
-uint64_t fnv1a(const std::string &S) {
-  uint64_t H = 1469598103934665603ull;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
 
 /// Rebuilds the module the trace scheduler profiles under \p Opts: the same
 /// locality / unroll / lower / cleanup front half the pipeline runs before

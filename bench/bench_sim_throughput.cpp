@@ -27,6 +27,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
 #include "driver/Compiler.h"
 #include "driver/Workloads.h"
 #include "lang/Parser.h"
@@ -34,8 +35,6 @@
 #include "support/Str.h"
 #include "support/ThreadPool.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,27 +44,10 @@
 #include <vector>
 
 using namespace bsched;
+using namespace bsched::bench;
 using namespace bsched::driver;
 
 namespace {
-
-uint64_t nowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Best-of-\p Reps wall time of \p Fn, in nanoseconds.
-template <typename FnT> uint64_t bestOf(int Reps, FnT Fn) {
-  uint64_t Best = ~0ull;
-  for (int R = 0; R != Reps; ++R) {
-    uint64_t T0 = nowNs();
-    Fn();
-    Best = std::min(Best, nowNs() - T0);
-  }
-  return Best;
-}
 
 /// The machine models, ordered so each one enables one more subsystem than
 /// the previous: the differential times are the per-phase breakdown.

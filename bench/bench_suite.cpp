@@ -1,55 +1,55 @@
 //===- bench/bench_suite.cpp - Unified experiment suite runner -------------===//
 //
-// bsched-suite: runs any subset of the paper's table/ablation benches in one
-// process over one shared result cache. The cross-table (workload, options,
-// machine) overlap is deduplicated by runCached key before dispatch, the
-// unique jobs fan out over ThreadPool::parallelForChunked (guided — the mix
-// of microsecond compiles and multi-second simulations is exactly the
-// non-uniform-duration case guided self-scheduling serves), and each table's
-// emitter then assembles its output from the warm cache. With a persistent
-// artifact store configured (--store or BSCHED_ARTIFACT_DIR), results
-// outlive the process: a warm re-run deserializes instead of recomputing.
+// bsched-suite: the one way to run the paper's tables and ablations. It runs
+// any subset of them in one process over one shared result cache. The
+// cross-table (workload, options, machine) overlap is deduplicated by
+// runCached key before dispatch, the unique jobs fan out over
+// ThreadPool::parallelForChunked (guided — the mix of microsecond compiles
+// and multi-second simulations is exactly the non-uniform-duration case
+// guided self-scheduling serves), and each table's emitter then assembles
+// its output from the warm cache. With a persistent artifact store
+// configured (--store or BSCHED_ARTIFACT_DIR), results outlive the process:
+// a warm re-run deserializes instead of recomputing.
 //
-// Output contract: every table's bytes are identical to its standalone
-// bench_<table> binary, for any thread count, cold or warm store
-// (--verify-standalone re-runs the standalone binaries and compares).
-// Every cell a table's run() reads must be declared by its jobs(): a run()
-// that misses the result cache fails the suite, naming the table.
+// Output contract: a table's bytes are the same whichever tables run beside
+// it, for any thread count, cold or warm store (suite_test asserts this and
+// pins tables 1-4 to their recorded FNV-1a). Every cell a table's run()
+// reads must be declared by its jobs(): a run() that misses the result cache
+// fails the suite, naming the table. An output file (--json, --out-dir)
+// that cannot be written also fails it.
 //
 // Usage:
 //   --list                   list registered tables and exit
 //   --tables a,b,c           run this subset (default: every table)
-//   --quick                  cheap CI subset (table1, table4, table5)
 //   --threads N              warmup fan-out threads (0 = one per hw thread)
-//   --store DIR              artifact store directory (also exported to
-//                            standalone children via BSCHED_ARTIFACT_DIR)
+//   --store DIR              artifact store directory
 //   --measure                forced-cold pass (disk reads off) then warm
 //                            pass (memory cleared, disk reads on); records
 //                            both and checks the outputs byte-identical
-//   --json PATH              suite JSON (default: BENCH_suite.json)
+//   --json PATH              write the suite JSON (none unless given)
 //   --out-dir DIR            also write per-table <name>.txt / <name>.json
-//   --verify-standalone DIR  run DIR/bench_<name> per table, compare bytes
 //   --min-disk-hit-rate X    gate: warm-pass disk hit rate floor (measure)
 //   --min-warm-speedup X     gate: cold/warm wall-time floor (measure)
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
 #include "Suite.h"
 
 #include "driver/ArtifactStore.h"
 #include "driver/ProfileCache.h"
+#include "support/CodeVersion.h"
 #include "support/Serialize.h"
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
-
-#include <stdlib.h>
 
 using namespace bsched;
 using namespace bsched::bench;
@@ -57,13 +57,6 @@ using namespace bsched::bench;
 BSCHED_SUITE_ALL_TABLES(BSCHED_SUITE_DECLARE)
 
 namespace {
-
-uint64_t nowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::vector<SuiteTable> allTables() {
   std::vector<SuiteTable> Tables;
@@ -159,32 +152,33 @@ std::string jsonEscape(const std::string &S) {
   return Out;
 }
 
-bool readProcessOutput(const std::string &Cmd, std::string &Out) {
-  Out.clear();
-  std::FILE *P = popen(Cmd.c_str(), "r");
-  if (!P)
-    return false;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), P)) > 0)
-    Out.append(Buf, N);
-  return pclose(P) == 0;
+/// Writes \p Path through \p Fill; reports the path and returns false when
+/// the file cannot be opened or any write to it fails.
+template <typename FnT> bool writeFile(const std::string &Path, FnT Fill) {
+  std::FILE *F = std::fopen(Path.c_str(), "w");
+  bool Ok = F != nullptr;
+  if (F) {
+    Fill(F);
+    Ok = !std::ferror(F);
+    Ok = std::fclose(F) == 0 && Ok;
+  }
+  if (!Ok)
+    std::fprintf(stderr, "suite: cannot write %s\n", Path.c_str());
+  return Ok;
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
   std::vector<std::string> Selected;
-  bool Quick = false, List = false, Measure = false;
+  bool List = false, Measure = false;
   unsigned Threads = 0;
-  std::string StoreDir, JsonPath = "BENCH_suite.json", OutDir, VerifyDir;
+  std::string StoreDir, JsonPath, OutDir;
   double MinDiskHitRate = 0.0, MinWarmSpeedup = 0.0;
 
   for (int I = 1; I != argc; ++I) {
     if (!std::strcmp(argv[I], "--list"))
       List = true;
-    else if (!std::strcmp(argv[I], "--quick"))
-      Quick = true;
     else if (!std::strcmp(argv[I], "--measure"))
       Measure = true;
     else if (!std::strcmp(argv[I], "--tables") && I + 1 != argc)
@@ -197,8 +191,6 @@ int main(int argc, char **argv) {
       JsonPath = argv[++I];
     else if (!std::strcmp(argv[I], "--out-dir") && I + 1 != argc)
       OutDir = argv[++I];
-    else if (!std::strcmp(argv[I], "--verify-standalone") && I + 1 != argc)
-      VerifyDir = argv[++I];
     else if (!std::strcmp(argv[I], "--min-disk-hit-rate") && I + 1 != argc)
       MinDiskHitRate = std::atof(argv[++I]);
     else if (!std::strcmp(argv[I], "--min-warm-speedup") && I + 1 != argc)
@@ -216,8 +208,9 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  if (Quick && Selected.empty())
-    Selected = {"table1_workload", "table4_unroll_bs", "table5_bs_vs_ts"};
+  // Resolved here (as ThreadPool would) so the JSON records the real count.
+  if (Threads == 0)
+    Threads = std::max(1u, std::thread::hardware_concurrency());
 
   std::vector<TableRun> Tables;
   if (Selected.empty()) {
@@ -244,11 +237,8 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (!StoreDir.empty()) {
+  if (!StoreDir.empty())
     driver::setArtifactStoreDir(StoreDir);
-    // Standalone children launched by --verify-standalone reuse the store.
-    ::setenv("BSCHED_ARTIFACT_DIR", StoreDir.c_str(), 1);
-  }
   if (Measure && !driver::artifactStoreEnabled()) {
     std::fprintf(stderr,
                  "--measure needs a persistent store: pass --store DIR or "
@@ -299,8 +289,7 @@ int main(int argc, char **argv) {
   }
   driver::ResultCacheStats CacheAfter = driver::resultCacheStats();
 
-  // Emit every table's captured bytes in order: the suite's stdout is the
-  // concatenation of the standalone binaries' outputs.
+  // Emit every table's captured bytes in order.
   for (const TableRun &TR : Tables)
     std::fwrite(TR.Output.data(), 1, TR.Output.size(), stdout);
 
@@ -316,38 +305,23 @@ int main(int argc, char **argv) {
                         : 0.0);
   std::fprintf(stderr, "\n");
 
-  // --- Optional byte-identity check against the standalone binaries --------
-  bool VerifyFailed = false;
-  if (!VerifyDir.empty()) {
-    for (const TableRun &TR : Tables) {
-      std::string Cmd = VerifyDir + "/bench_" + TR.T.Name + " 2>/dev/null";
-      std::string Out;
-      if (!readProcessOutput(Cmd, Out) || Out != TR.Output) {
-        VerifyFailed = true;
-        std::fprintf(stderr,
-                     "SUITE VERIFY FAILED: %s standalone output differs "
-                     "(%zu vs %zu bytes)\n",
-                     TR.T.Name.c_str(), Out.size(), TR.Output.size());
-      } else {
-        std::fprintf(stderr, "suite verify: %s byte-identical (%zu bytes)\n",
-                     TR.T.Name.c_str(), Out.size());
-      }
-    }
-  }
-
   // --- Per-table artifacts --------------------------------------------------
+  bool WriteFailed = false;
   if (!OutDir.empty()) {
-    std::string MkCmd = "mkdir -p '" + OutDir + "'";
-    if (std::system(MkCmd.c_str()) != 0)
-      std::fprintf(stderr, "suite: cannot create %s\n", OutDir.c_str());
-    for (const TableRun &TR : Tables) {
-      std::string TxtPath = OutDir + "/" + TR.T.Name + ".txt";
-      if (std::FILE *F = std::fopen(TxtPath.c_str(), "w")) {
+    std::error_code EC;
+    std::filesystem::create_directories(OutDir, EC);
+    if (EC) {
+      std::fprintf(stderr, "suite: cannot create %s: %s\n", OutDir.c_str(),
+                   EC.message().c_str());
+      WriteFailed = true;
+    }
+    for (size_t I = 0; !EC && I != Tables.size(); ++I) {
+      const TableRun &TR = Tables[I];
+      std::string Base = OutDir + "/" + TR.T.Name;
+      WriteFailed |= !writeFile(Base + ".txt", [&](std::FILE *F) {
         std::fwrite(TR.Output.data(), 1, TR.Output.size(), F);
-        std::fclose(F);
-      }
-      std::string JPath = OutDir + "/" + TR.T.Name + ".json";
-      if (std::FILE *F = std::fopen(JPath.c_str(), "w")) {
+      });
+      WriteFailed |= !writeFile(Base + ".json", [&](std::FILE *F) {
         std::fprintf(F,
                      "{\n  \"name\": \"%s\",\n  \"title\": \"%s\",\n"
                      "  \"jobs\": %zu,\n  \"unique_contributed\": %zu,\n"
@@ -357,8 +331,7 @@ int main(int argc, char **argv) {
                      TR.JobCount, TR.UniqueContributed, TR.Output.size(),
                      static_cast<unsigned long long>(fnv1a(TR.Output)),
                      static_cast<double>(TR.RunNs) / 1e6);
-        std::fclose(F);
-      }
+      });
     }
   }
 
@@ -375,87 +348,83 @@ int main(int argc, char **argv) {
                       static_cast<double>(WarmReads)
                 : 0.0;
 
-  if (std::FILE *J = std::fopen(JsonPath.c_str(), "w")) {
-    std::fprintf(J, "{\n");
-    std::fprintf(J, "  \"version\": 1,\n");
-    std::fprintf(J, "  \"quick\": %s,\n", Quick ? "true" : "false");
-    std::fprintf(J, "  \"measure\": %s,\n", Measure ? "true" : "false");
-    std::fprintf(J, "  \"threads\": %u,\n", Threads);
-    std::fprintf(J, "  \"hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
-    std::fprintf(J, "  \"build_type\": \"%s\",\n", BSCHED_BUILD_TYPE);
-    std::fprintf(J, "  \"store_enabled\": %s,\n",
-                 driver::artifactStoreEnabled() ? "true" : "false");
-    std::fprintf(J, "  \"tables\": [\n");
-    for (size_t I = 0; I != Tables.size(); ++I) {
-      const TableRun &TR = Tables[I];
+  if (!JsonPath.empty())
+    WriteFailed |= !writeFile(JsonPath, [&](std::FILE *J) {
+      std::fprintf(J, "{\n");
+      std::fprintf(J, "  \"version\": 1,\n");
+      std::fprintf(J, "  \"measure\": %s,\n", Measure ? "true" : "false");
+      std::fprintf(J, "  \"threads\": %u,\n", Threads);
+      std::fprintf(J, "  \"hardware_threads\": %u,\n",
+                   std::thread::hardware_concurrency());
+      std::fprintf(J, "  \"build_type\": \"%s\",\n", BSCHED_BUILD_TYPE);
+      std::fprintf(J, "  \"code_version\": \"%s\",\n",
+                   std::string(codeVersion()).c_str());
+      std::fprintf(J, "  \"store_enabled\": %s,\n",
+                   driver::artifactStoreEnabled() ? "true" : "false");
+      std::fprintf(J, "  \"tables\": [\n");
+      for (size_t I = 0; I != Tables.size(); ++I) {
+        const TableRun &TR = Tables[I];
+        std::fprintf(J,
+                     "    {\"name\": \"%s\", \"jobs\": %zu, "
+                     "\"unique_contributed\": %zu, \"output_bytes\": %zu, "
+                     "\"output_fnv\": \"%016llx\", \"emit_ms\": %.3f}%s\n",
+                     TR.T.Name.c_str(), TR.JobCount, TR.UniqueContributed,
+                     TR.Output.size(),
+                     static_cast<unsigned long long>(fnv1a(TR.Output)),
+                     static_cast<double>(TR.RunNs) / 1e6,
+                     I + 1 == Tables.size() ? "" : ",");
+      }
+      std::fprintf(J, "  ],\n");
+      std::fprintf(J, "  \"jobs_total\": %zu,\n", TotalJobs);
+      std::fprintf(J, "  \"jobs_unique\": %zu,\n", Unique.size());
+      std::fprintf(J, "  \"jobs_deduped\": %zu,\n", Saved);
+      uint64_t Undeclared = 0;
+      for (const TableRun &TR : Tables)
+        Undeclared += TR.UndeclaredMisses;
+      std::fprintf(J, "  \"undeclared_misses\": %llu,\n",
+                   static_cast<unsigned long long>(Undeclared));
       std::fprintf(J,
-                   "    {\"name\": \"%s\", \"jobs\": %zu, "
-                   "\"unique_contributed\": %zu, \"output_bytes\": %zu, "
-                   "\"output_fnv\": \"%016llx\", \"emit_ms\": %.3f}%s\n",
-                   TR.T.Name.c_str(), TR.JobCount, TR.UniqueContributed,
-                   TR.Output.size(),
-                   static_cast<unsigned long long>(fnv1a(TR.Output)),
-                   static_cast<double>(TR.RunNs) / 1e6,
-                   I + 1 == Tables.size() ? "" : ",");
-    }
-    std::fprintf(J, "  ],\n");
-    std::fprintf(J, "  \"jobs_total\": %zu,\n", TotalJobs);
-    std::fprintf(J, "  \"jobs_unique\": %zu,\n", Unique.size());
-    std::fprintf(J, "  \"jobs_deduped\": %zu,\n", Saved);
-    uint64_t Undeclared = 0;
-    for (const TableRun &TR : Tables)
-      Undeclared += TR.UndeclaredMisses;
-    std::fprintf(J, "  \"undeclared_misses\": %llu,\n",
-                 static_cast<unsigned long long>(Undeclared));
-    std::fprintf(J,
-                 "  \"result_cache\": {\"hits\": %llu, \"misses\": %llu, "
-                 "\"in_flight_waits\": %llu},\n",
-                 static_cast<unsigned long long>(CacheAfter.Hits -
-                                                 CacheBefore.Hits),
-                 static_cast<unsigned long long>(CacheAfter.Misses -
-                                                 CacheBefore.Misses),
-                 static_cast<unsigned long long>(CacheAfter.InFlightWaits -
-                                                 CacheBefore.InFlightWaits));
-    auto StoreJson = [&](const char *Name,
-                         const driver::ArtifactStoreStats &S) {
-      std::fprintf(J,
-                   "  \"%s\": {\"disk_hits\": %llu, \"disk_misses\": %llu, "
-                   "\"writes\": %llu, \"write_failures\": %llu, "
-                   "\"corrupt_rejected\": %llu, \"version_rejected\": %llu, "
-                   "\"key_rejected\": %llu},\n",
-                   Name, static_cast<unsigned long long>(S.DiskHits),
-                   static_cast<unsigned long long>(S.DiskMisses),
-                   static_cast<unsigned long long>(S.Writes),
-                   static_cast<unsigned long long>(S.WriteFailures),
-                   static_cast<unsigned long long>(S.CorruptRejected),
-                   static_cast<unsigned long long>(S.VersionRejected),
-                   static_cast<unsigned long long>(S.KeyRejected));
-    };
-    if (Measure) {
-      StoreJson("store_cold", ColdStore);
-      StoreJson("store_warm", WarmStore);
-      std::fprintf(J, "  \"cold_ms\": %.3f,\n",
-                   static_cast<double>(ColdNs) / 1e6);
-      std::fprintf(J, "  \"warm_ms\": %.3f,\n",
-                   static_cast<double>(WarmNs) / 1e6);
-      std::fprintf(J, "  \"warm_speedup\": %.3f,\n", WarmSpeedup);
-      std::fprintf(J, "  \"disk_hit_rate\": %.4f,\n", DiskHitRate);
-      std::fprintf(J, "  \"passes_identical\": %s,\n",
-                   PassesIdentical ? "true" : "false");
-    } else {
-      StoreJson("store", ColdStore);
-      std::fprintf(J, "  \"wall_ms\": %.3f,\n",
-                   static_cast<double>(ColdNs) / 1e6);
-    }
-    std::fprintf(J, "  \"verified_standalone\": %s\n",
-                 !VerifyDir.empty() && !VerifyFailed ? "true" : "false");
-    std::fprintf(J, "}\n");
-    std::fclose(J);
-  } else {
-    std::fprintf(stderr, "suite: cannot write %s\n", JsonPath.c_str());
-    return 1;
-  }
+                   "  \"result_cache\": {\"hits\": %llu, \"misses\": %llu, "
+                   "\"in_flight_waits\": %llu},\n",
+                   static_cast<unsigned long long>(CacheAfter.Hits -
+                                                   CacheBefore.Hits),
+                   static_cast<unsigned long long>(CacheAfter.Misses -
+                                                   CacheBefore.Misses),
+                   static_cast<unsigned long long>(CacheAfter.InFlightWaits -
+                                                   CacheBefore.InFlightWaits));
+      auto StoreJson = [&](const char *Name,
+                           const driver::ArtifactStoreStats &S) {
+        std::fprintf(J,
+                     "  \"%s\": {\"disk_hits\": %llu, \"disk_misses\": %llu, "
+                     "\"writes\": %llu, \"write_failures\": %llu, "
+                     "\"corrupt_rejected\": %llu, \"version_rejected\": %llu, "
+                     "\"key_rejected\": %llu},\n",
+                     Name, static_cast<unsigned long long>(S.DiskHits),
+                     static_cast<unsigned long long>(S.DiskMisses),
+                     static_cast<unsigned long long>(S.Writes),
+                     static_cast<unsigned long long>(S.WriteFailures),
+                     static_cast<unsigned long long>(S.CorruptRejected),
+                     static_cast<unsigned long long>(S.VersionRejected),
+                     static_cast<unsigned long long>(S.KeyRejected));
+      };
+      if (Measure) {
+        StoreJson("store_cold", ColdStore);
+        StoreJson("store_warm", WarmStore);
+        std::fprintf(J, "  \"cold_ms\": %.3f,\n",
+                     static_cast<double>(ColdNs) / 1e6);
+        std::fprintf(J, "  \"warm_ms\": %.3f,\n",
+                     static_cast<double>(WarmNs) / 1e6);
+        std::fprintf(J, "  \"warm_speedup\": %.3f,\n", WarmSpeedup);
+        std::fprintf(J, "  \"disk_hit_rate\": %.4f,\n", DiskHitRate);
+        std::fprintf(J, "  \"passes_identical\": %s\n",
+                     PassesIdentical ? "true" : "false");
+      } else {
+        StoreJson("store", ColdStore);
+        std::fprintf(J, "  \"wall_ms\": %.3f\n",
+                     static_cast<double>(ColdNs) / 1e6);
+      }
+      std::fprintf(J, "}\n");
+    });
 
   // --- Gates ----------------------------------------------------------------
   int Rc = 0;
@@ -468,7 +437,7 @@ int main(int argc, char **argv) {
                  "SUITE GATE FAILED: cold and warm outputs differ\n");
     Rc = 1;
   }
-  if (VerifyFailed)
+  if (WriteFailed)
     Rc = 1;
   for (const TableRun &TR : Tables)
     if (TR.UndeclaredMisses != 0) {

@@ -10,11 +10,6 @@
 #include "BenchCommon.h"
 #include "Suite.h"
 
-#include "lang/Parser.h"
-#include "regalloc/LinearScan.h"
-#include "sched/Schedule.h"
-#include "lower/Lower.h"
-
 using namespace bsched;
 using namespace bsched::bench;
 
@@ -37,16 +32,7 @@ double measureSerialLoadLatency(int64_t Elems, int64_t StrideElems) {
          "; r += 1) { k = A[k]; }\n";
   Src += "Out[0] = k + 0.0;\n";
 
-  lang::ParseResult PR = lang::parseProgram(Src, "latency-probe");
-  if (!PR.ok() || !lang::checkProgram(PR.Prog).empty()) {
-    std::fprintf(stderr, "latency probe failed to parse\n");
-    std::exit(1);
-  }
-  lower::LowerResult LR = lower::lowerProgram(PR.Prog);
-  sched::scheduleFunction(LR.M, sched::SchedulerKind::Traditional);
-  regalloc::allocateRegisters(LR.M);
-  sim::MachineConfig C;
-  sim::SimResult Cold = sim::simulate(LR.M, C);
+  sim::SimResult Cold = sim::simulate(compileProbe(Src, "latency-probe"));
   // Cycles per chase iteration ~ issue + load latency + loop overhead; the
   // chase loop dominates the run.
   return static_cast<double>(Cold.LoadInterlockCycles) /

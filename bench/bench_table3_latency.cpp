@@ -9,11 +9,6 @@
 #include "BenchCommon.h"
 #include "Suite.h"
 
-#include "lang/Parser.h"
-#include "lower/Lower.h"
-#include "regalloc/LinearScan.h"
-#include "sched/Schedule.h"
-
 using namespace bsched;
 using namespace bsched::bench;
 using namespace bsched::ir;
@@ -28,20 +23,7 @@ double measureChain(const std::string &VarDecls, const std::string &Update) {
   Src += "for (r = 0; r < " + std::to_string(Iters) + "; r += 1) { " +
          Update + " }\n";
   Src += "Out[0] = x + 0.0;\n";
-  lang::ParseResult PR = lang::parseProgram(Src, "latency-chain");
-  if (!PR.ok()) {
-    std::fprintf(stderr, "chain probe parse error: %s\n", PR.Error.c_str());
-    std::exit(1);
-  }
-  std::string E = lang::checkProgram(PR.Prog);
-  if (!E.empty()) {
-    std::fprintf(stderr, "chain probe check error: %s\n", E.c_str());
-    std::exit(1);
-  }
-  lower::LowerResult LR = lower::lowerProgram(PR.Prog);
-  sched::scheduleFunction(LR.M, sched::SchedulerKind::Traditional);
-  regalloc::allocateRegisters(LR.M);
-  sim::SimResult R = sim::simulate(LR.M);
+  sim::SimResult R = sim::simulate(compileProbe(Src, "latency-chain"));
   return static_cast<double>(R.FixedInterlockCycles) /
              static_cast<double>(Iters) +
          1.0; // issue slot of the chain instruction itself

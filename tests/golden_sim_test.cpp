@@ -18,6 +18,7 @@
 #include "TestConfigs.h"
 
 #include "driver/Experiment.h"
+#include "support/Serialize.h"
 
 #include <gtest/gtest.h>
 
@@ -32,15 +33,6 @@ using namespace bsched::driver;
 using namespace bsched::sim;
 
 namespace {
-
-uint64_t fnv1a(const std::string &S) {
-  uint64_t H = 1469598103934665603ull;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
 
 /// Serializes every SimResult field; the golden hash is over this string,
 /// so no statistic can drift unnoticed.

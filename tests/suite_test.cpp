@@ -1,17 +1,16 @@
 //===- tests/suite_test.cpp - Suite output byte-identity -------------------===//
 //
-// The suite runner's determinism contract, tested in-process on two
-// representative tables (Table 1 and Table 4, compiled here with their
-// standalone main()s suppressed): a table's run() bytes are invariant
+// The suite runner's determinism contract, tested in-process on Table 1
+// and Table 4: a table's run() bytes are invariant
 //
 //  * across thread counts of the warmup fan-out,
 //  * across cache tiers — freshly computed, memory-warm, and
 //    disk-warm (loaded back from a persistent store), and
 //  * across table order (deduplicated jobs shared between tables).
 //
-// bsched-suite --verify-standalone covers the same property against the
-// actual standalone binaries; this test pins it in the ctest matrix where
-// ASan/UBSan run.
+// Tables 1-4 are also pinned to known bytes: each one's output FNV-1a must
+// equal its line in perfbench/pinned_fnv.txt. This runs the Table 2 and 3
+// latency probes in the ctest matrix, where ASan/UBSan run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,10 +18,14 @@
 
 #include "driver/ArtifactStore.h"
 #include "driver/ProfileCache.h"
+#include "support/Serialize.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -34,6 +37,8 @@ using namespace bsched::bench;
 using namespace bsched::driver;
 
 BSCHED_SUITE_DECLARE(table1_workload)
+BSCHED_SUITE_DECLARE(table2_memory)
+BSCHED_SUITE_DECLARE(table3_latency)
 BSCHED_SUITE_DECLARE(table4_unroll_bs)
 
 namespace {
@@ -46,6 +51,22 @@ std::vector<SuiteTable> testTables() {
 void clearMemoryCaches() {
   clearResultCache();
   clearProfileCache();
+}
+
+/// The pinned output FNV-1a of every suite table: "<name> <hex>" lines, '#'
+/// starting a comment.
+std::map<std::string, uint64_t> pinnedFnvs() {
+  std::map<std::string, uint64_t> Pins;
+  std::ifstream In(BSCHED_PINNED_FNV);
+  std::string Line;
+  while (std::getline(In, Line)) {
+    std::istringstream Fields(Line);
+    std::string Name, Hex;
+    if (Line.empty() || Line[0] == '#' || !(Fields >> Name >> Hex))
+      continue;
+    Pins[Name] = std::stoull(Hex, nullptr, 16);
+  }
+  return Pins;
 }
 
 /// Captures one table's run() output. captureStdout wants a plain function
@@ -121,6 +142,24 @@ TEST_F(SuiteTest, OutputInvariantAcrossCacheTiers) {
     EXPECT_EQ(Computed, MemoryWarm) << T.Name;
     EXPECT_EQ(Computed, DiskWarm)
         << T.Name << ": disk-tier bytes differ from computed bytes";
+  }
+}
+
+TEST_F(SuiteTest, TablesMatchPinnedFnv) {
+  std::map<std::string, uint64_t> Pins = pinnedFnvs();
+  ASSERT_FALSE(Pins.empty()) << "cannot read " << BSCHED_PINNED_FNV;
+  for (const SuiteTable &T : {bsched_suite_table_table1_workload(),
+                              bsched_suite_table_table2_memory(),
+                              bsched_suite_table_table3_latency(),
+                              bsched_suite_table_table4_unroll_bs()}) {
+    clearMemoryCaches();
+    runAll(T.Jobs(), 2);
+    uint64_t Fnv = fnv1a(captureTable(T));
+    auto Pin = Pins.find(T.Name);
+    ASSERT_NE(Pin, Pins.end()) << T.Name << ": no pinned FNV";
+    EXPECT_EQ(Fnv, Pin->second)
+        << T.Name << ": output FNV-1a " << std::hex << Fnv
+        << " differs from the pinned " << Pin->second;
   }
 }
 
