@@ -3,8 +3,8 @@
 /// \file
 /// Helpers shared by the table sources and the tracker benches:
 /// configuration constructors, the per-benchmark run loop with failure
-/// reporting, the latency-probe compile, printf-free table emission, and
-/// wall-clock timing.
+/// reporting, the latency-probe compile, printf-free table emission,
+/// wall-clock timing, and the BENCH_*.json helpers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +19,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace bsched {
 namespace bench {
@@ -118,6 +121,27 @@ template <typename FnT> uint64_t bestOf(int Reps, FnT Fn) {
   }
   return Best;
 }
+
+// The BENCH_*.json helpers of the trackers and bsched-suite (defined in
+// Suite.cpp).
+
+/// The opening of every BENCH_*.json object: the brace, its schema, and the
+/// metadata that makes two points comparable — the host's hardware threads,
+/// the most worker threads the bench ran, the build type and the code
+/// version. The caller appends its own fields and the closing brace.
+std::string benchJsonHead(const char *Schema, unsigned Threads);
+
+/// Writes \p Json to \p Path and says so; false, with a message, when the
+/// file cannot be written.
+bool writeBenchJson(const std::string &Path, const std::string &Json);
+
+/// \p S escaped for a JSON string literal.
+std::string jsonEscape(const std::string &S);
+
+/// The `"TAG": NUMBER` entries of a CI baseline file with a positive
+/// number, in file order; exits the bench when the file cannot be read.
+std::vector<std::pair<std::string, double>>
+readBaseline(const std::string &Path);
 
 } // namespace bench
 } // namespace bsched

@@ -1,9 +1,15 @@
-//===- bench/Suite.cpp - Suite registry support -----------------------------===//
+//===- bench/Suite.cpp - Suite registry and BENCH JSON support --------------===//
 
 #include "Suite.h"
 
+#include "BenchCommon.h"
+#include "support/CodeVersion.h"
+
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 
 #include <unistd.h>
 
@@ -49,4 +55,63 @@ int bench::captureStdout(int (*Fn)(), std::string &Captured) {
   }
   std::fclose(Tmp);
   return Rc;
+}
+
+std::string bench::benchJsonHead(const char *Schema, unsigned Threads) {
+  return std::string("{\n  \"schema\": \"") + Schema + "\",\n" +
+         "  \"hardware_threads\": " +
+         std::to_string(std::thread::hardware_concurrency()) + ",\n" +
+         "  \"threads\": " + std::to_string(Threads) + ",\n" +
+         "  \"build_type\": \"" + BSCHED_BUILD_TYPE + "\",\n" +
+         "  \"code_version\": \"" + std::string(codeVersion()) + "\",\n";
+}
+
+bool bench::writeBenchJson(const std::string &Path, const std::string &Json) {
+  std::ofstream Out(Path);
+  Out << Json;
+  Out.close();
+  if (!Out) {
+    std::fprintf(stderr, "FATAL: cannot write %s\n", Path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", Path.c_str());
+  return true;
+}
+
+std::string bench::jsonEscape(const std::string &S) {
+  std::string Out;
+  for (char C : S) {
+    if (C == '"' || C == '\\')
+      Out += '\\';
+    if (C == '\n') {
+      Out += "\\n";
+      continue;
+    }
+    Out += C;
+  }
+  return Out;
+}
+
+std::vector<std::pair<std::string, double>>
+bench::readBaseline(const std::string &Path) {
+  std::vector<std::pair<std::string, double>> Entries;
+  std::ifstream In(Path);
+  if (!In) {
+    std::fprintf(stderr, "FATAL: cannot read baseline %s\n", Path.c_str());
+    std::exit(1);
+  }
+  std::string Line;
+  while (std::getline(In, Line)) {
+    size_t Q0 = Line.find('"');
+    if (Q0 == std::string::npos)
+      continue;
+    size_t Q1 = Line.find('"', Q0 + 1);
+    size_t Colon = Line.find(':', Q1);
+    if (Q1 == std::string::npos || Colon == std::string::npos)
+      continue;
+    double V = std::atof(Line.c_str() + Colon + 1);
+    if (V > 0)
+      Entries.emplace_back(Line.substr(Q0 + 1, Q1 - Q0 - 1), V);
+  }
+  return Entries;
 }

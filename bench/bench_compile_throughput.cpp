@@ -37,6 +37,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "driver/Artifacts.h"
 #include "driver/Compiler.h"
 #include "driver/Experiment.h"
 #include "driver/ProfileCache.h"
@@ -54,7 +55,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -89,27 +89,13 @@ unsigned countInstrs(const ir::Module &M) {
   return N;
 }
 
-/// Digest of everything the compiled module's consumers can observe — the
-/// full instruction stream — so "byte-identical across thread counts" is
-/// checked on substance, not on a summary statistic.
+/// Digest of the compiled module's encoding (driver::encode), which holds
+/// every field its consumers can observe, so "byte-identical across thread
+/// counts" is checked on substance, not on a summary statistic.
 uint64_t moduleDigest(const ir::Module &M) {
-  Fnv1a H;
-  H.word(M.Fn.Blocks.size());
-  for (const ir::BasicBlock &B : M.Fn.Blocks) {
-    H.word(B.Instrs.size());
-    for (const ir::Instr &I : B.Instrs) {
-      H.word(static_cast<uint64_t>(I.Op));
-      H.word(I.Dst.Id);
-      H.word(I.SrcA.Id);
-      H.word(I.SrcB.Id);
-      H.word(static_cast<uint64_t>(I.Imm));
-      H.word(I.Base.Id);
-      H.word(static_cast<uint64_t>(I.Offset));
-      H.word(static_cast<uint64_t>(I.Target0));
-      H.word(static_cast<uint64_t>(I.Target1));
-    }
-  }
-  return H.get();
+  ByteWriter W;
+  encode(W, M);
+  return fnv1a(W.buffer());
 }
 
 /// Combines per-request digests in request order: equal result vectors give
@@ -482,38 +468,6 @@ SustainedResult runSustained(bool Quick, unsigned MaxThreads) {
   return Out;
 }
 
-std::string jsonEscape(const std::string &S) { return S; } // tags are plain
-
-/// Reads "min_instrs_per_sec" entries from the (intentionally simple)
-/// baseline JSON: lines of the form  "TAG": NUMBER.
-std::vector<std::pair<std::string, double>>
-readBaseline(const std::string &Path) {
-  std::vector<std::pair<std::string, double>> Entries;
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "FATAL: cannot read baseline %s\n", Path.c_str());
-    std::exit(1);
-  }
-  std::string Line;
-  while (std::getline(In, Line)) {
-    size_t Q0 = Line.find('"');
-    if (Q0 == std::string::npos)
-      continue;
-    size_t Q1 = Line.find('"', Q0 + 1);
-    if (Q1 == std::string::npos)
-      continue;
-    std::string Tag = Line.substr(Q0 + 1, Q1 - Q0 - 1);
-    size_t Colon = Line.find(':', Q1);
-    if (Colon == std::string::npos || Tag == "schema" ||
-        Tag == "min_instrs_per_sec")
-      continue;
-    double V = std::atof(Line.c_str() + Colon + 1);
-    if (V > 0)
-      Entries.emplace_back(Tag, V);
-  }
-  return Entries;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -734,10 +688,8 @@ int main(int argc, char **argv) {
   // --- JSON -----------------------------------------------------------------
   {
     std::ostringstream J;
-    J << "{\n  \"schema\": \"bsched-compile-throughput-v3\",\n";
+    J << benchJsonHead("bsched-compile-throughput-v3", MaxThreads);
     J << "  \"quick\": " << (Quick ? "true" : "false") << ",\n";
-    J << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
-      << ",\n";
     J << "  \"configs\": [\n";
     for (size_t CI = 0; CI != Results.size(); ++CI) {
       const ConfigRow &R = Results[CI];
@@ -832,13 +784,8 @@ int main(int argc, char **argv) {
       << (SchedSpeedup != 0.0 ? fmtDouble(SchedSpeedup, 3)
                               : std::string("null"))
       << "}\n}\n";
-    std::ofstream Out(JsonPath);
-    if (!Out) {
-      std::fprintf(stderr, "FATAL: cannot write %s\n", JsonPath.c_str());
+    if (!writeBenchJson(JsonPath, J.str()))
       return 1;
-    }
-    Out << J.str();
-    std::printf("wrote %s\n", JsonPath.c_str());
   }
 
   // --- Baseline gate --------------------------------------------------------

@@ -30,7 +30,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -215,7 +214,7 @@ int main(int argc, char **argv) {
         << ", \"expanded\": " << C.Expanded << "}";
     };
     std::ostringstream J;
-    J << "{\n  \"schema\": \"bsched-gap-oracle-v1\",\n";
+    J << benchJsonHead("bsched-gap-oracle-v1", 1);
     J << "  \"quick\": " << (Quick ? "true" : "false")
       << ", \"unroll\": " << Unroll << ", \"max_nodes\": " << EO.MaxNodes
       << ", \"max_expansions\": " << EO.MaxExpansions << ",\n";
@@ -238,13 +237,8 @@ int main(int argc, char **argv) {
       << ", \"closed\": " << Overall.Closed
       << ", \"closure_pct\": " << fmtDouble(ClosurePct, 1)
       << ", \"solve_ns\": " << Overall.SolveNs << "}\n}\n";
-    std::ofstream Out(JsonPath);
-    if (!Out) {
-      std::fprintf(stderr, "FATAL: cannot write %s\n", JsonPath.c_str());
+    if (!writeBenchJson(JsonPath, J.str()))
       return 1;
-    }
-    Out << J.str();
-    std::printf("wrote %s\n", JsonPath.c_str());
   }
 
   if (MinClosure >= 0.0 && ClosurePct < MinClosure) {

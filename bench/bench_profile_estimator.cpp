@@ -44,7 +44,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -249,7 +248,7 @@ int main(int argc, char **argv) {
   // --- JSON -----------------------------------------------------------------
   {
     std::ostringstream J;
-    J << "{\n  \"schema\": \"bsched-profile-estimator-v1\",\n";
+    J << benchJsonHead("bsched-profile-estimator-v1", 1);
     J << "  \"quick\": " << (Quick ? "true" : "false") << ",\n";
     J << "  \"entry_units\": " << trace::EstimateEntryCount << ",\n";
     J << "  \"configs\": [\n";
@@ -277,13 +276,8 @@ int main(int argc, char **argv) {
         << "}}" << (CI + 1 == Results.size() ? "\n" : ",\n");
     }
     J << "  ]\n}\n";
-    std::ofstream Out(JsonPath);
-    if (!Out) {
-      std::fprintf(stderr, "FATAL: cannot write %s\n", JsonPath.c_str());
+    if (!writeBenchJson(JsonPath, J.str()))
       return 1;
-    }
-    Out << J.str();
-    std::printf("wrote %s\n", JsonPath.c_str());
   }
 
   int Exit = 0;

@@ -38,7 +38,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -83,36 +82,6 @@ struct ScalePoint {
   unsigned Threads;
   uint64_t WallNs;
 };
-
-/// Reads "min_instrs_per_sec" entries from the (intentionally simple)
-/// baseline JSON: lines of the form  "TAG": NUMBER.
-std::vector<std::pair<std::string, double>>
-readBaseline(const std::string &Path) {
-  std::vector<std::pair<std::string, double>> Entries;
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "FATAL: cannot read baseline %s\n", Path.c_str());
-    std::exit(1);
-  }
-  std::string Line;
-  while (std::getline(In, Line)) {
-    size_t Q0 = Line.find('"');
-    if (Q0 == std::string::npos)
-      continue;
-    size_t Q1 = Line.find('"', Q0 + 1);
-    if (Q1 == std::string::npos)
-      continue;
-    std::string Tag = Line.substr(Q0 + 1, Q1 - Q0 - 1);
-    size_t Colon = Line.find(':', Q1);
-    if (Colon == std::string::npos || Tag == "schema" ||
-        Tag == "min_instrs_per_sec" || Tag == "min_speedup")
-      continue;
-    double V = std::atof(Line.c_str() + Colon + 1);
-    if (V > 0)
-      Entries.emplace_back(Tag, V);
-  }
-  return Entries;
-}
 
 } // namespace
 
@@ -260,7 +229,7 @@ int main(int argc, char **argv) {
   // --- JSON -----------------------------------------------------------------
   {
     std::ostringstream J;
-    J << "{\n  \"schema\": \"bsched-sim-throughput-v1\",\n";
+    J << benchJsonHead("bsched-sim-throughput-v1", MaxThreads);
     J << "  \"quick\": " << (Quick ? "true" : "false") << ",\n";
     J << "  \"compile_config\": \"" << Opts.tag() << "\",\n";
     J << "  \"models\": [\n";
@@ -292,13 +261,8 @@ int main(int argc, char **argv) {
       << "\"instrs_per_sec\": " << fmtDouble(Ips(TotalNs[3]), 1) << ", "
       << "\"fast_vs_reference_speedup\": " << fmtDouble(Speedup, 3)
       << "}\n}\n";
-    std::ofstream Out(JsonPath);
-    if (!Out) {
-      std::fprintf(stderr, "FATAL: cannot write %s\n", JsonPath.c_str());
+    if (!writeBenchJson(JsonPath, J.str()))
       return 1;
-    }
-    Out << J.str();
-    std::printf("wrote %s\n", JsonPath.c_str());
   }
 
   // --- Baseline gate --------------------------------------------------------

@@ -38,7 +38,6 @@
 
 #include "driver/ArtifactStore.h"
 #include "driver/ProfileCache.h"
-#include "support/CodeVersion.h"
 #include "support/Serialize.h"
 
 #include <algorithm>
@@ -136,20 +135,6 @@ uint64_t runPass(std::vector<TableRun> &Tables,
 void clearMemoryCaches() {
   driver::clearResultCache();
   driver::clearProfileCache();
-}
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    if (C == '\n') {
-      Out += "\\n";
-      continue;
-    }
-    Out += C;
-  }
-  return Out;
 }
 
 /// Writes \p Path through \p Fill; reports the path and returns false when
@@ -350,15 +335,8 @@ int main(int argc, char **argv) {
 
   if (!JsonPath.empty())
     WriteFailed |= !writeFile(JsonPath, [&](std::FILE *J) {
-      std::fprintf(J, "{\n");
-      std::fprintf(J, "  \"version\": 1,\n");
+      std::fputs(benchJsonHead("bsched-suite-v1", Threads).c_str(), J);
       std::fprintf(J, "  \"measure\": %s,\n", Measure ? "true" : "false");
-      std::fprintf(J, "  \"threads\": %u,\n", Threads);
-      std::fprintf(J, "  \"hardware_threads\": %u,\n",
-                   std::thread::hardware_concurrency());
-      std::fprintf(J, "  \"build_type\": \"%s\",\n", BSCHED_BUILD_TYPE);
-      std::fprintf(J, "  \"code_version\": \"%s\",\n",
-                   std::string(codeVersion()).c_str());
       std::fprintf(J, "  \"store_enabled\": %s,\n",
                    driver::artifactStoreEnabled() ? "true" : "false");
       std::fprintf(J, "  \"tables\": [\n");

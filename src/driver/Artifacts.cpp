@@ -2,7 +2,7 @@
 
 #include "driver/Artifacts.h"
 
-#include <limits>
+#include "driver/JobFields.h"
 
 using namespace bsched;
 using namespace bsched::driver;
@@ -12,209 +12,118 @@ namespace {
 // Decoded enums are range-checked before the static_cast: an enum value a
 // newer (or corrupted) file invented must fail the decode, not materialize
 // as an out-of-range enumerator that downstream switch statements trust.
-template <typename EnumT>
-bool decodeEnum(ByteReader &R, EnumT &Out, uint8_t MaxValue) {
+constexpr uint8_t lastEnumerator(verify::Check) {
+  return static_cast<uint8_t>(verify::Check::Locality);
+}
+constexpr uint8_t lastEnumerator(ir::Opcode) {
+  return static_cast<uint8_t>(ir::Opcode::Ret);
+}
+constexpr uint8_t lastEnumerator(ir::HitMiss) {
+  return static_cast<uint8_t>(ir::HitMiss::Miss);
+}
+constexpr uint8_t lastEnumerator(ir::RegClass) {
+  return static_cast<uint8_t>(ir::RegClass::Fp);
+}
+
+template <typename EnumT> bool decodeEnum(ByteReader &R, EnumT &Out) {
+  static_assert(sizeof(EnumT) == 1, "enums encode as one byte");
   uint8_t V = R.u8();
-  if (!R.ok() || V > MaxValue)
+  if (!R.ok() || V > lastEnumerator(Out))
     return false;
   Out = static_cast<EnumT>(V);
   return true;
 }
 
 //===----------------------------------------------------------------------===//
-// Leaf statistics
+// Result structs, generated from their field lists (driver/JobFields.h)
 //===----------------------------------------------------------------------===//
 
-void encodeCacheStats(ByteWriter &W, const sim::CacheStats &S) {
-  W.u64(S.Accesses);
-  W.u64(S.Misses);
-}
-bool decodeCacheStats(ByteReader &R, sim::CacheStats &S) {
-  S.Accesses = R.u64();
-  S.Misses = R.u64();
-  return R.ok();
+// One rule per leaf type, applied to every leaf in list order: bool as one
+// byte, enums as u8, signed integers as i64, unsigned ones as u64, floats
+// by bit pattern, strings and vectors as a u64 count and their contents,
+// arrays as their elements, and modules through the module codec below.
+
+template <typename V> void put(ByteWriter &W, const V &X) {
+  if constexpr (Listed<V>)
+    forEachLeaf([&W](const FieldPath &, const auto &L) { put(W, L); }, X);
+  else if constexpr (std::is_same_v<V, ir::Module>)
+    encode(W, X);
+  else if constexpr (IsVector<V>) {
+    W.u64(X.size());
+    for (const auto &E : X)
+      put(W, E);
+  } else if constexpr (IsArray<V>) {
+    for (const auto &E : X)
+      put(W, E);
+  } else if constexpr (std::is_same_v<V, std::string>)
+    W.str(X);
+  else if constexpr (std::is_same_v<V, bool>)
+    W.b(X);
+  else if constexpr (std::is_enum_v<V>)
+    W.u8(static_cast<uint8_t>(X));
+  else if constexpr (std::is_floating_point_v<V>)
+    W.d(X);
+  else if constexpr (std::is_signed_v<V>)
+    W.i64(X);
+  else
+    W.u64(X);
 }
 
-void encodeCounts(ByteWriter &W, const sim::InstrCounts &C) {
-  W.u64(C.ShortInt);
-  W.u64(C.LongInt);
-  W.u64(C.ShortFp);
-  W.u64(C.LongFp);
-  W.u64(C.Loads);
-  W.u64(C.Stores);
-  W.u64(C.Branches);
-  W.u64(C.Spills);
-  W.u64(C.Restores);
-}
-bool decodeCounts(ByteReader &R, sim::InstrCounts &C) {
-  C.ShortInt = R.u64();
-  C.LongInt = R.u64();
-  C.ShortFp = R.u64();
-  C.LongFp = R.u64();
-  C.Loads = R.u64();
-  C.Stores = R.u64();
-  C.Branches = R.u64();
-  C.Spills = R.u64();
-  C.Restores = R.u64();
-  return R.ok();
+/// The fewest bytes one encoded E takes, so the canHold floor for a count of
+/// E: the size of a default E, whose strings and vectors are empty.
+template <typename E> uint64_t minEncodedBytes() {
+  static const uint64_t Bytes = [] {
+    ByteWriter W;
+    put(W, E{});
+    return W.buffer().size();
+  }();
+  return Bytes;
 }
 
-void encodeUnroll(ByteWriter &W, const xform::UnrollStats &S) {
-  W.i64(S.LoopsConsidered);
-  W.i64(S.LoopsUnrolled);
-  W.i64(S.LoopsFullyUnrolled);
-  W.i64(S.LoopsSkippedBranches);
-  W.i64(S.LoopsSkippedSize);
-}
-bool decodeUnroll(ByteReader &R, xform::UnrollStats &S) {
-  S.LoopsConsidered = static_cast<int>(R.i64());
-  S.LoopsUnrolled = static_cast<int>(R.i64());
-  S.LoopsFullyUnrolled = static_cast<int>(R.i64());
-  S.LoopsSkippedBranches = static_cast<int>(R.i64());
-  S.LoopsSkippedSize = static_cast<int>(R.i64());
-  return R.ok();
-}
-
-void encodeLocality(ByteWriter &W, const locality::LocalityStats &S) {
-  W.i64(S.LoopsAnalyzed);
-  W.i64(S.LoopsPeeled);
-  W.i64(S.LoopsUnrolled);
-  W.i64(S.TemporalRefs);
-  W.i64(S.SpatialRefs);
-  W.i64(S.RefsNoInfo);
-}
-bool decodeLocality(ByteReader &R, locality::LocalityStats &S) {
-  S.LoopsAnalyzed = static_cast<int>(R.i64());
-  S.LoopsPeeled = static_cast<int>(R.i64());
-  S.LoopsUnrolled = static_cast<int>(R.i64());
-  S.TemporalRefs = static_cast<int>(R.i64());
-  S.SpatialRefs = static_cast<int>(R.i64());
-  S.RefsNoInfo = static_cast<int>(R.i64());
-  return R.ok();
-}
-
-void encodeTrace(ByteWriter &W, const trace::TraceStats &S) {
-  W.i64(S.Traces);
-  W.i64(S.MultiBlockTraces);
-  W.i64(S.LongestTrace);
-  W.i64(S.CompensationBlocks);
-  W.i64(S.CompensationInstrs);
-  W.u64(S.FormNs);
-  W.u64(S.CompactNs);
-  W.u64(S.WeightsNs);
-  W.u64(S.CompensationNs);
-  W.u64(S.Formed.size());
-  for (const trace::Trace &T : S.Formed) {
-    W.u64(T.size());
-    for (int B : T)
-      W.i64(B);
-  }
-}
-bool decodeTrace(ByteReader &R, trace::TraceStats &S) {
-  S.Traces = static_cast<int>(R.i64());
-  S.MultiBlockTraces = static_cast<int>(R.i64());
-  S.LongestTrace = static_cast<int>(R.i64());
-  S.CompensationBlocks = static_cast<int>(R.i64());
-  S.CompensationInstrs = static_cast<int>(R.i64());
-  S.FormNs = R.u64();
-  S.CompactNs = R.u64();
-  S.WeightsNs = R.u64();
-  S.CompensationNs = R.u64();
-  uint64_t NumTraces = R.u64();
-  if (!R.canHold(NumTraces, 8))
-    return false;
-  S.Formed.clear();
-  S.Formed.reserve(NumTraces);
-  for (uint64_t I = 0; I != NumTraces; ++I) {
-    uint64_t Len = R.u64();
-    if (!R.canHold(Len, 8))
+template <typename V> bool get(ByteReader &R, V &X) {
+  if constexpr (Listed<V>) {
+    bool Ok = true;
+    forEachLeaf([&](const FieldPath &, auto &L) { Ok = Ok && get(R, L); }, X);
+    return Ok;
+  } else if constexpr (std::is_same_v<V, ir::Module>)
+    return decode(R, X);
+  else if constexpr (IsVector<V>) {
+    using E = typename V::value_type;
+    uint64_t N = R.u64();
+    if (!R.canHold(N, minEncodedBytes<E>()))
       return false;
-    trace::Trace T;
-    T.reserve(Len);
-    for (uint64_t J = 0; J != Len; ++J)
-      T.push_back(static_cast<int>(R.i64()));
-    S.Formed.push_back(std::move(T));
-  }
+    X.clear();
+    X.reserve(N);
+    for (uint64_t I = 0; I != N; ++I) {
+      E Elem{};
+      if (!get(R, Elem))
+        return false;
+      X.push_back(std::move(Elem));
+    }
+  } else if constexpr (IsArray<V>) {
+    for (auto &E : X)
+      if (!get(R, E))
+        return false;
+  } else if constexpr (std::is_same_v<V, std::string>)
+    X = R.str();
+  else if constexpr (std::is_same_v<V, bool>)
+    X = R.b();
+  else if constexpr (std::is_enum_v<V>)
+    return decodeEnum(R, X);
+  else if constexpr (std::is_floating_point_v<V>)
+    X = R.d();
+  else if constexpr (std::is_signed_v<V>)
+    X = static_cast<V>(R.i64());
+  else
+    X = static_cast<V>(R.u64());
   return R.ok();
 }
 
-void encodeRegAlloc(ByteWriter &W, const regalloc::RegAllocStats &S) {
-  W.u64(S.IntRegsUsed);
-  W.u64(S.FpRegsUsed);
-  W.i64(S.SpilledVRegs);
-  W.i64(S.SpillStores);
-  W.i64(S.RestoreLoads);
-  W.i64(S.Remats);
-  W.str(S.Error);
-}
-bool decodeRegAlloc(ByteReader &R, regalloc::RegAllocStats &S) {
-  S.IntRegsUsed = static_cast<unsigned>(R.u64());
-  S.FpRegsUsed = static_cast<unsigned>(R.u64());
-  S.SpilledVRegs = static_cast<int>(R.i64());
-  S.SpillStores = static_cast<int>(R.i64());
-  S.RestoreLoads = static_cast<int>(R.i64());
-  S.Remats = static_cast<int>(R.i64());
-  S.Error = R.str();
-  return R.ok();
-}
-
-void encodeCleanup(ByteWriter &W, const opt::CleanupStats &S) {
-  W.i64(S.CopiesPropagated);
-  W.i64(S.ConstantsFolded);
-  W.i64(S.Hoisted);
-  W.i64(S.DeadRemoved);
-  W.i64(S.Iterations);
-  W.i64(S.LivenessFullComputes);
-  W.i64(S.LivenessIncrementalUpdates);
-  W.i64(S.BlocksSkipped);
-}
-bool decodeCleanup(ByteReader &R, opt::CleanupStats &S) {
-  S.CopiesPropagated = static_cast<int>(R.i64());
-  S.ConstantsFolded = static_cast<int>(R.i64());
-  S.Hoisted = static_cast<int>(R.i64());
-  S.DeadRemoved = static_cast<int>(R.i64());
-  S.Iterations = static_cast<int>(R.i64());
-  S.LivenessFullComputes = static_cast<int>(R.i64());
-  S.LivenessIncrementalUpdates = static_cast<int>(R.i64());
-  S.BlocksSkipped = static_cast<int>(R.i64());
-  return R.ok();
-}
-
-void encodeExact(ByteWriter &W, const sched::exact::ExactStats &S) {
-  W.u64(S.BlocksAttempted);
-  W.u64(S.BlocksClosed);
-  W.u64(S.BlocksTimedOut);
-  W.u64(S.BlocksTooLarge);
-  W.u64(S.BlocksImproved);
-  W.u64(S.FastCycles);
-  W.u64(S.ExactCycles);
-  W.u64(S.Expanded);
-}
-bool decodeExact(ByteReader &R, sched::exact::ExactStats &S) {
-  S.BlocksAttempted = static_cast<unsigned>(R.u64());
-  S.BlocksClosed = static_cast<unsigned>(R.u64());
-  S.BlocksTimedOut = static_cast<unsigned>(R.u64());
-  S.BlocksTooLarge = static_cast<unsigned>(R.u64());
-  S.BlocksImproved = static_cast<unsigned>(R.u64());
-  S.FastCycles = R.u64();
-  S.ExactCycles = R.u64();
-  S.Expanded = R.u64();
-  return R.ok();
-}
-
-void encodeDiag(ByteWriter &W, const verify::Diagnostic &D) {
-  W.u8(static_cast<uint8_t>(D.Kind));
-  W.i64(D.Block);
-  W.i64(D.Instr);
-  W.str(D.Message);
-}
-bool decodeDiag(ByteReader &R, verify::Diagnostic &D) {
-  if (!decodeEnum(R, D.Kind, static_cast<uint8_t>(verify::Check::Locality)))
-    return false;
-  D.Block = static_cast<int>(R.i64());
-  D.Instr = static_cast<int>(R.i64());
-  D.Message = R.str();
-  return R.ok();
+/// Decodes into a reset \p Out, so a failed decode never leaves a merge of
+/// old and new fields.
+template <typename T> bool getFresh(ByteReader &R, T &Out) {
+  Out = T();
+  return get(R, Out);
 }
 
 //===----------------------------------------------------------------------===//
@@ -271,7 +180,7 @@ void encodeInstr(ByteWriter &W, const ir::Instr &I) {
   W.i64(I.Target1);
 }
 bool decodeInstr(ByteReader &R, ir::Instr &I) {
-  if (!decodeEnum(R, I.Op, static_cast<uint8_t>(ir::Opcode::Ret)))
+  if (!decodeEnum(R, I.Op))
     return false;
   I.Dst = ir::Reg(R.u32());
   I.SrcA = ir::Reg(R.u32());
@@ -283,7 +192,7 @@ bool decodeInstr(ByteReader &R, ir::Instr &I) {
   I.Offset = R.i64();
   if (!decodeMemRef(R, I.Mem))
     return false;
-  if (!decodeEnum(R, I.HM, static_cast<uint8_t>(ir::HitMiss::Miss)))
+  if (!decodeEnum(R, I.HM))
     return false;
   I.LocalityGroup = static_cast<int>(R.i64());
   I.IsSpill = R.b();
@@ -326,90 +235,14 @@ bool decodeArray(ByteReader &R, ir::ArrayInfo &A) {
 // Public codecs
 //===----------------------------------------------------------------------===//
 
-void driver::encode(ByteWriter &W, const sim::SimResult &R) {
-  W.b(R.Finished);
-  W.str(R.Error);
-  W.u64(R.Checksum);
-  W.u64(R.Cycles);
-  encodeCounts(W, R.Counts);
-  W.u64(R.LoadInterlockCycles);
-  W.u64(R.FixedInterlockCycles);
-  W.u64(R.ICacheStallCycles);
-  W.u64(R.ITlbStallCycles);
-  W.u64(R.DTlbStallCycles);
-  W.u64(R.BranchPenaltyCycles);
-  W.u64(R.MshrStallCycles);
-  W.u64(R.WriteBufferStallCycles);
-  encodeCacheStats(W, R.L1D);
-  encodeCacheStats(W, R.L2);
-  encodeCacheStats(W, R.L3);
-  encodeCacheStats(W, R.L1I);
-  W.u64(R.DTlbMisses);
-  W.u64(R.ITlbMisses);
-  W.u64(R.BranchMispredicts);
-}
-
+void driver::encode(ByteWriter &W, const sim::SimResult &R) { put(W, R); }
 bool driver::decode(ByteReader &R, sim::SimResult &Out) {
-  Out = sim::SimResult();
-  Out.Finished = R.b();
-  Out.Error = R.str();
-  Out.Checksum = R.u64();
-  Out.Cycles = R.u64();
-  if (!decodeCounts(R, Out.Counts))
-    return false;
-  Out.LoadInterlockCycles = R.u64();
-  Out.FixedInterlockCycles = R.u64();
-  Out.ICacheStallCycles = R.u64();
-  Out.ITlbStallCycles = R.u64();
-  Out.DTlbStallCycles = R.u64();
-  Out.BranchPenaltyCycles = R.u64();
-  Out.MshrStallCycles = R.u64();
-  Out.WriteBufferStallCycles = R.u64();
-  if (!decodeCacheStats(R, Out.L1D) || !decodeCacheStats(R, Out.L2) ||
-      !decodeCacheStats(R, Out.L3) || !decodeCacheStats(R, Out.L1I))
-    return false;
-  Out.DTlbMisses = R.u64();
-  Out.ITlbMisses = R.u64();
-  Out.BranchMispredicts = R.u64();
-  return R.ok();
+  return getFresh(R, Out);
 }
 
-void driver::encode(ByteWriter &W, const ir::InterpResult &R) {
-  W.b(R.Finished);
-  W.u64(R.DynInstrs);
-  W.u64(R.Checksum);
-  W.u64(R.BlockCounts.size());
-  for (uint64_t C : R.BlockCounts)
-    W.u64(C);
-  W.u64(R.EdgeCounts.size());
-  for (const auto &E : R.EdgeCounts) {
-    W.u64(E[0]);
-    W.u64(E[1]);
-  }
-}
-
+void driver::encode(ByteWriter &W, const ir::InterpResult &R) { put(W, R); }
 bool driver::decode(ByteReader &R, ir::InterpResult &Out) {
-  Out = ir::InterpResult();
-  Out.Finished = R.b();
-  Out.DynInstrs = R.u64();
-  Out.Checksum = R.u64();
-  uint64_t NumBlocks = R.u64();
-  if (!R.canHold(NumBlocks, 8))
-    return false;
-  Out.BlockCounts.reserve(NumBlocks);
-  for (uint64_t I = 0; I != NumBlocks; ++I)
-    Out.BlockCounts.push_back(R.u64());
-  uint64_t NumEdges = R.u64();
-  if (!R.canHold(NumEdges, 16))
-    return false;
-  Out.EdgeCounts.reserve(NumEdges);
-  for (uint64_t I = 0; I != NumEdges; ++I) {
-    std::array<uint64_t, 2> E;
-    E[0] = R.u64();
-    E[1] = R.u64();
-    Out.EdgeCounts.push_back(E);
-  }
-  return R.ok();
+  return getFresh(R, Out);
 }
 
 void driver::encode(ByteWriter &W, const ir::Module &M) {
@@ -454,7 +287,7 @@ bool driver::decode(ByteReader &R, ir::Module &Out) {
   Out.Fn.RegClasses.reserve(NumRegs);
   for (uint64_t I = 0; I != NumRegs; ++I) {
     ir::RegClass C;
-    if (!decodeEnum(R, C, static_cast<uint8_t>(ir::RegClass::Fp)))
+    if (!decodeEnum(R, C))
       return false;
     Out.Fn.RegClasses.push_back(C);
   }
@@ -486,58 +319,10 @@ bool driver::decode(ByteReader &R, ir::Module &Out) {
   return R.ok();
 }
 
-void driver::encode(ByteWriter &W, const CompileResult &C) {
-  encode(W, C.M);
-  W.str(C.Error);
-  encodeUnroll(W, C.Unroll);
-  encodeCleanup(W, C.Cleanup);
-  encodeLocality(W, C.Locality);
-  encodeTrace(W, C.Trace);
-  encodeRegAlloc(W, C.RegAlloc);
-  encodeExact(W, C.Exact);
-  W.u64(C.VerifyDiags.size());
-  for (const verify::Diagnostic &D : C.VerifyDiags)
-    encodeDiag(W, D);
-}
-
+void driver::encode(ByteWriter &W, const CompileResult &C) { put(W, C); }
 bool driver::decode(ByteReader &R, CompileResult &Out) {
-  Out = CompileResult();
-  if (!decode(R, Out.M))
-    return false;
-  Out.Error = R.str();
-  if (!decodeUnroll(R, Out.Unroll) || !decodeCleanup(R, Out.Cleanup) ||
-      !decodeLocality(R, Out.Locality) || !decodeTrace(R, Out.Trace) ||
-      !decodeRegAlloc(R, Out.RegAlloc) || !decodeExact(R, Out.Exact))
-    return false;
-  uint64_t NumDiags = R.u64();
-  if (!R.canHold(NumDiags, 16))
-    return false;
-  Out.VerifyDiags.reserve(NumDiags);
-  for (uint64_t I = 0; I != NumDiags; ++I) {
-    verify::Diagnostic D;
-    if (!decodeDiag(R, D))
-      return false;
-    Out.VerifyDiags.push_back(std::move(D));
-  }
-  return R.ok();
+  return getFresh(R, Out);
 }
 
-void driver::encode(ByteWriter &W, const RunResult &R) {
-  W.str(R.Error);
-  encode(W, R.Sim);
-  encodeUnroll(W, R.Unroll);
-  encodeLocality(W, R.Locality);
-  encodeTrace(W, R.Trace);
-  encodeRegAlloc(W, R.RegAlloc);
-}
-
-bool driver::decode(ByteReader &R, RunResult &Out) {
-  Out = RunResult();
-  Out.Error = R.str();
-  if (!decode(R, Out.Sim))
-    return false;
-  if (!decodeUnroll(R, Out.Unroll) || !decodeLocality(R, Out.Locality) ||
-      !decodeTrace(R, Out.Trace) || !decodeRegAlloc(R, Out.RegAlloc))
-    return false;
-  return R.ok();
-}
+void driver::encode(ByteWriter &W, const RunResult &R) { put(W, R); }
+bool driver::decode(ByteReader &R, RunResult &Out) { return getFresh(R, Out); }

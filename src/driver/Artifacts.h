@@ -9,9 +9,11 @@
 ///
 /// Contract: encode/decode are exact inverses — every field round-trips
 /// bit-exactly (doubles by bit pattern), so a decoded artifact is
-/// indistinguishable from the freshly computed value. tests/serialize_test
-/// pins this field by field, and re-derives the golden schedule and
-/// simulation hashes from decoded artifacts.
+/// indistinguishable from the freshly computed value. The result codecs are
+/// generated from the field lists of driver/JobFields.h, so they cover every
+/// field; only the module codec is written by hand. tests/serialize_test
+/// round-trips a dense value of each type and pins its bytes, and the golden
+/// tests hash decoded artifacts.
 ///
 /// The decoders run on bytes that may come from a truncated, corrupted or
 /// foreign file, so they never trust the input: all reads go through the

@@ -62,19 +62,6 @@ ShardedMemo<std::string, RunResult> &results() {
   return Memo;
 }
 
-ShardedMemo<const char *, uint64_t> &sourceDigests() {
-  static ShardedMemo<const char *, uint64_t> Memo;
-  return Memo;
-}
-
-/// FNV-1a of a workload's source text, taken once per text rather than once
-/// per key: a sweep keys each source once per configuration, often through
-/// one Workload view per configuration.
-uint64_t sourceDigest(const char *Source) {
-  return *sourceDigests().get(
-      Source, [Source] { return fnv1a(Source, std::strlen(Source)); });
-}
-
 } // namespace
 
 ResultCacheStats driver::resultCacheStats() { return results().stats(); }
@@ -85,7 +72,7 @@ std::string driver::resultKey(const Workload &W, const CompileOptions &Opts,
   // Keys are compared and persisted as bytes: fixed-width native copies are
   // canonical on the little-endian hosts this project builds for.
   static_assert(std::endian::native == std::endian::little);
-  uint64_t Digest = sourceDigest(W.Source);
+  uint64_t Digest = wordDigest(W.Source, std::strlen(W.Source));
   size_t NameLen = std::strlen(W.Name);
   std::string Key(Salt.size() + sizeof(Digest) + leafBytes<CompileOptions>() +
                       leafBytes<sim::MachineConfig>() + NameLen,
@@ -95,7 +82,9 @@ std::string driver::resultKey(const Workload &W, const CompileOptions &Opts,
     std::memcpy(Out, Data, Len);
     Out += Len;
   };
-  auto PutLeaf = [&Put](const char *, const auto &V) { Put(&V, sizeof(V)); };
+  auto PutLeaf = [&Put](const FieldPath &, const FixedWidth auto &V) {
+    Put(&V, sizeof(V));
+  };
   Put(Salt.data(), Salt.size());
   Put(&Digest, sizeof(Digest));
   forEachLeaf(PutLeaf, Opts);
@@ -106,7 +95,6 @@ std::string driver::resultKey(const Workload &W, const CompileOptions &Opts,
 
 void driver::clearResultCache() {
   results().clear();
-  sourceDigests().clear();
 }
 
 const RunResult &driver::runCached(const Workload &W,

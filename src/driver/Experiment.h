@@ -52,8 +52,7 @@ RunResult runWorkload(const Workload &W, const CompileOptions &Opts,
 /// key only if nothing that can change their result differs; the suite
 /// runner deduplicates cross-table jobs by comparing keys. \p Salt is the
 /// code version (support/CodeVersion.h), so results of other code never
-/// match. The source digest is memoized per text address until
-/// clearResultCache(), so a Workload's text must not change in place.
+/// match.
 std::string resultKey(const Workload &W, const CompileOptions &Opts,
                       const sim::MachineConfig &Machine = {},
                       std::string_view Salt = codeVersion());
@@ -74,11 +73,11 @@ std::string resultKey(const Workload &W, const CompileOptions &Opts,
 const RunResult &runCached(const Workload &W, const CompileOptions &Opts,
                            const sim::MachineConfig &Machine = {});
 
-/// Empties the in-memory result cache and the source-digest memo. All
-/// references previously returned by runCached/runAll become dangling —
-/// callers are the suite runner (between its cold and warm measurement
-/// passes) and tests, which drop their results first. Must not race with
-/// runCached. The counters keep counting.
+/// Empties the in-memory result cache. All references previously returned
+/// by runCached/runAll become dangling — callers are the suite runner
+/// (between its cold and warm measurement passes) and tests, which drop
+/// their results first. Must not race with runCached. The counters keep
+/// counting.
 void clearResultCache();
 
 /// runCached observability, aggregated over shards. Hits found a completed

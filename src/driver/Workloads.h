@@ -27,10 +27,7 @@ struct Workload {
   const char *Language;    ///< the original's language ("Fortran" / "C").
   const char *Description; ///< Table-1 description of the original.
   const char *Behaviour;   ///< what the analogue is engineered to do.
-  /// Kernel-language text. Result keys memoize its digest by address until
-  /// driver::clearResultCache(), so the text must stay unchanged, and its
-  /// storage unreused, until then.
-  const char *Source;
+  const char *Source;      ///< kernel-language text.
 };
 
 /// The full 17-kernel workload, in the paper's Table-1 order.

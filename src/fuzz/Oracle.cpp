@@ -2,6 +2,7 @@
 
 #include "fuzz/Oracle.h"
 
+#include "driver/JobFields.h"
 #include "ir/Interp.h"
 #include "lang/Eval.h"
 #include "lang/Parser.h"
@@ -32,49 +33,7 @@ const char *fuzz::failureKindName(FailureKind K) {
 
 std::string fuzz::diffSimResults(const sim::SimResult &F,
                                  const sim::SimResult &R) {
-  auto Diff = [](const char *Name, uint64_t A, uint64_t B) {
-    return std::string(Name) + " fast=" + std::to_string(A) +
-           " ref=" + std::to_string(B);
-  };
-#define BS_CHECK(FIELD)                                                        \
-  if (F.FIELD != R.FIELD)                                                      \
-  return Diff(#FIELD, static_cast<uint64_t>(F.FIELD),                          \
-              static_cast<uint64_t>(R.FIELD))
-  BS_CHECK(Finished);
-  BS_CHECK(Checksum);
-  BS_CHECK(Cycles);
-  BS_CHECK(Counts.ShortInt);
-  BS_CHECK(Counts.LongInt);
-  BS_CHECK(Counts.ShortFp);
-  BS_CHECK(Counts.LongFp);
-  BS_CHECK(Counts.Loads);
-  BS_CHECK(Counts.Stores);
-  BS_CHECK(Counts.Branches);
-  BS_CHECK(Counts.Spills);
-  BS_CHECK(Counts.Restores);
-  BS_CHECK(LoadInterlockCycles);
-  BS_CHECK(FixedInterlockCycles);
-  BS_CHECK(ICacheStallCycles);
-  BS_CHECK(ITlbStallCycles);
-  BS_CHECK(DTlbStallCycles);
-  BS_CHECK(BranchPenaltyCycles);
-  BS_CHECK(MshrStallCycles);
-  BS_CHECK(WriteBufferStallCycles);
-  BS_CHECK(L1D.Accesses);
-  BS_CHECK(L1D.Misses);
-  BS_CHECK(L2.Accesses);
-  BS_CHECK(L2.Misses);
-  BS_CHECK(L3.Accesses);
-  BS_CHECK(L3.Misses);
-  BS_CHECK(L1I.Accesses);
-  BS_CHECK(L1I.Misses);
-  BS_CHECK(DTlbMisses);
-  BS_CHECK(ITlbMisses);
-  BS_CHECK(BranchMispredicts);
-#undef BS_CHECK
-  if (F.Error != R.Error)
-    return "Error fast='" + F.Error + "' ref='" + R.Error + "'";
-  return "";
+  return driver::firstDifference(F, R, "fast", "ref");
 }
 
 namespace {

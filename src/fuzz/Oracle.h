@@ -149,9 +149,10 @@ Failure runSimOracle(const lang::Program &P, const sim::MachineConfig &Machine,
 Failure replayRepro(const Repro &R, std::string &Err,
                     const OracleOptions &Opts = {});
 
-/// First differing SimResult field between \p F and \p R rendered as
-/// "field fast=X ref=Y", or "" when all fields match. Shared by the oracle
-/// and the corpus replay test.
+/// driver::firstDifference between the fast (\p F) and reference (\p R)
+/// simulator cores: the first differing SimResult field as "Path fast=X
+/// ref=Y" (e.g. "L2.Misses fast=3 ref=4"), or "" when every field matches.
+/// Shared by the oracle and the simulator twin tests.
 std::string diffSimResults(const sim::SimResult &F, const sim::SimResult &R);
 
 } // namespace fuzz

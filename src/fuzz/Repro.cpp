@@ -81,9 +81,9 @@ std::string fuzz::writeRepro(const Repro &R) {
     S << "machine: " << R.MachineTag << "\n";
 
   forEachLeaf(
-      [&S](const char *Name, auto V, auto Default) {
+      [&S](const FieldPath &F, auto V, auto Default) {
         if (V != Default)
-          S << "option " << Name << " " << formatValue(V) << "\n";
+          S << "option " << F.Name << " " << formatValue(V) << "\n";
       },
       R.Options, D);
   S << "---\n";
@@ -131,8 +131,8 @@ bool fuzz::parseRepro(const std::string &Text, Repro &Out, std::string &Err) {
       }
       bool Known = false, Parsed = false;
       forEachLeaf(
-          [&](const char *Name, auto &Field) {
-            if (Key == Name) {
+          [&](const FieldPath &F, auto &Field) {
+            if (Key == F.Name) {
               Known = true;
               Parsed = parseValue(Value, Field);
             }

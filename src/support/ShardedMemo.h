@@ -2,9 +2,8 @@
 ///
 /// \file
 /// A thread-safe memo from keys to lazily computed values, behind the
-/// driver's result, profile and source-digest caches. The map is split into
-/// 16 shards by key hash, one mutex each, so workers on unrelated keys never
-/// contend. A shard's mutex guards only slot creation: the first caller for
+/// driver's result and profile caches. The map is split into 16 shards by
+/// key hash, one mutex each, so workers on unrelated keys never contend. A shard's mutex guards only slot creation: the first caller for
 /// a key computes under the slot's std::once_flag, and later callers for it
 /// block on that flag (not on the shard) and then share the result, so a
 /// completed key is never recomputed. Slots are shared_ptr-held, so clear()

@@ -14,6 +14,7 @@
 #include "driver/ArtifactStore.h"
 #include "driver/Artifacts.h"
 #include "driver/Experiment.h"
+#include "driver/JobFields.h"
 #include "support/Serialize.h"
 #include "support/ThreadPool.h"
 
@@ -200,8 +201,8 @@ TEST_F(ArtifactStoreTest, ReadToggleBypassesDiskWithoutDisablingWrites) {
 //===----------------------------------------------------------------------===//
 
 /// A corrupted store entry under a real experiment key degrades runCached to
-/// recompute — same cycles and checksum as a store-less run, one corrupt
-/// rejection counted, and the recompute repairs the entry on disk.
+/// recompute — the same result as a store-less run, one corrupt rejection
+/// counted, and the recompute repairs the entry on disk.
 TEST_F(ArtifactStoreTest, RunCachedRecomputesThroughCorruption) {
   const Workload &W = workloads().front();
   CompileOptions Opts;
@@ -231,8 +232,8 @@ TEST_F(ArtifactStoreTest, RunCachedRecomputesThroughCorruption) {
   resetArtifactStoreStats();
   const RunResult &Recomputed = runCached(W, Opts);
   ASSERT_TRUE(Recomputed.ok()) << Recomputed.Error;
-  EXPECT_EQ(Recomputed.Sim.Cycles, Baseline.Sim.Cycles);
-  EXPECT_EQ(Recomputed.Sim.Checksum, Baseline.Sim.Checksum);
+  EXPECT_EQ(firstDifference(Recomputed, Baseline, "recomputed", "baseline"),
+            "");
   ArtifactStoreStats S = artifactStoreStats();
   EXPECT_EQ(S.CorruptRejected, 1u);
   EXPECT_EQ(S.DiskHits, 0u);
@@ -244,8 +245,7 @@ TEST_F(ArtifactStoreTest, RunCachedRecomputesThroughCorruption) {
   resetArtifactStoreStats();
   const RunResult &FromDisk = runCached(W, Opts);
   ASSERT_TRUE(FromDisk.ok());
-  EXPECT_EQ(FromDisk.Sim.Cycles, Baseline.Sim.Cycles);
-  EXPECT_EQ(FromDisk.Sim.Checksum, Baseline.Sim.Checksum);
+  EXPECT_EQ(firstDifference(FromDisk, Baseline, "disk", "baseline"), "");
   EXPECT_EQ(artifactStoreStats().DiskHits, 1u);
 }
 
@@ -257,7 +257,7 @@ TEST_F(ArtifactStoreTest, UndecodablePayloadDegradesToRecompute) {
   CompileOptions Opts;
   const RunResult &First = runCached(W, Opts);
   ASSERT_TRUE(First.ok());
-  uint64_t FirstCycles = First.Sim.Cycles; // First dies with the clear below.
+  RunResult Computed = First; // First dies with the clear below.
 
   // Replace the entry with a VALID store file whose payload is garbage for
   // the RunResult decoder.
@@ -268,7 +268,7 @@ TEST_F(ArtifactStoreTest, UndecodablePayloadDegradesToRecompute) {
   resetArtifactStoreStats();
   const RunResult &R = runCached(W, Opts);
   ASSERT_TRUE(R.ok()) << R.Error;
-  EXPECT_EQ(R.Sim.Cycles, FirstCycles);
+  EXPECT_EQ(firstDifference(R, Computed, "recomputed", "computed"), "");
   ArtifactStoreStats S = artifactStoreStats();
   EXPECT_EQ(S.CorruptRejected, 1u); // noteArtifactDecodeFailure reclassified
   EXPECT_EQ(S.DiskHits, 0u);        // ...the provisional hit
@@ -308,8 +308,8 @@ TEST_F(ArtifactStoreTest, EditedSourceOrOtherCodeMissesTheDisk) {
   EXPECT_EQ(artifactStoreStats().DiskHits, 1u);
 }
 
-/// Disk-tier results are indistinguishable from computed ones: same cycle
-/// counts for a grid of jobs run store-less, store-cold and store-warm.
+/// Disk-tier results are indistinguishable from computed ones: the same
+/// results for a grid of jobs run store-less, store-cold and store-warm.
 TEST_F(ArtifactStoreTest, DiskTierMatchesComputeForAGrid) {
   std::vector<ExperimentJob> Jobs;
   const auto &All = workloads();
@@ -320,31 +320,30 @@ TEST_F(ArtifactStoreTest, DiskTierMatchesComputeForAGrid) {
     Jobs.push_back({&All[I], Unrolled, {}});
   }
 
+  // Copies: each clearResultCache frees the previous pass's results.
+  auto Pass = [&] {
+    std::vector<RunResult> Out;
+    for (const RunResult *R : runAll(Jobs, 2)) {
+      EXPECT_TRUE(R->ok()) << R->Error;
+      Out.push_back(*R);
+    }
+    return Out;
+  };
   setArtifactStoreDir("");
-  std::vector<uint64_t> NoStore;
-  for (const RunResult *R : runAll(Jobs, 2)) {
-    ASSERT_TRUE(R->ok());
-    NoStore.push_back(R->Sim.Cycles);
-  }
+  std::vector<RunResult> NoStore = Pass();
 
   clearResultCache();
   setArtifactStoreDir(Dir);
-  std::vector<uint64_t> Cold;
-  for (const RunResult *R : runAll(Jobs, 2)) {
-    ASSERT_TRUE(R->ok());
-    Cold.push_back(R->Sim.Cycles);
-  }
+  std::vector<RunResult> Cold = Pass();
 
   clearResultCache();
   resetArtifactStoreStats();
-  std::vector<uint64_t> Warm;
-  for (const RunResult *R : runAll(Jobs, 2)) {
-    ASSERT_TRUE(R->ok());
-    Warm.push_back(R->Sim.Cycles);
-  }
+  std::vector<RunResult> Warm = Pass();
   EXPECT_EQ(artifactStoreStats().DiskHits, Jobs.size());
-  EXPECT_EQ(NoStore, Cold);
-  EXPECT_EQ(NoStore, Warm);
+  for (size_t I = 0; I != Jobs.size(); ++I) {
+    EXPECT_EQ(firstDifference(Cold[I], NoStore[I], "cold", "nostore"), "");
+    EXPECT_EQ(firstDifference(Warm[I], NoStore[I], "warm", "nostore"), "");
+  }
 }
 
 } // namespace

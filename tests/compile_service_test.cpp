@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 #include <set>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -25,19 +26,6 @@ using namespace bsched;
 using namespace bsched::driver;
 
 namespace {
-
-/// Value equality of everything a table consumer reads out of a RunResult.
-void expectRunResultsEqual(const RunResult &A, const RunResult &B) {
-  ASSERT_TRUE(A.ok()) << A.Error;
-  ASSERT_TRUE(B.ok()) << B.Error;
-  EXPECT_EQ(A.Sim.Cycles, B.Sim.Cycles);
-  EXPECT_EQ(A.Sim.Checksum, B.Sim.Checksum);
-  EXPECT_EQ(A.Sim.Finished, B.Sim.Finished);
-  EXPECT_EQ(A.Sim.LoadInterlockCycles, B.Sim.LoadInterlockCycles);
-  EXPECT_EQ(A.Sim.FixedInterlockCycles, B.Sim.FixedInterlockCycles);
-  EXPECT_EQ(A.RegAlloc.SpilledVRegs, B.RegAlloc.SpilledVRegs);
-  EXPECT_EQ(A.Trace.Traces, B.Trace.Traces);
-}
 
 /// Distinct-but-overlapping key set: K pressure-threshold tenants over a few
 /// workloads. The thresholds are chosen away from every default used
@@ -67,22 +55,22 @@ template <typename T> T perturbed(T V) {
 }
 
 /// Perturbs leaf \p Index (list order) of every default \p T in turn and
-/// hands each variant to \p Check with the leaf's name; returns how many
+/// hands each variant to \p Check with the leaf's path; returns how many
 /// leaves there were.
 template <typename T, typename CheckFn> size_t eachLeafVariant(CheckFn Check) {
   for (size_t Index = 0;; ++Index) {
     T Variant{};
-    const char *Changed = nullptr;
+    std::string Changed;
     size_t Leaf = 0;
     forEachLeaf(
-        [&](const char *Name, auto &V) {
+        [&](const FieldPath &F, auto &V) {
           if (Leaf++ == Index) {
             V = perturbed(V);
-            Changed = Name;
+            Changed = F.str();
           }
         },
         Variant);
-    if (!Changed)
+    if (Changed.empty())
       return Index;
     Check(Variant, Changed);
   }
@@ -97,12 +85,12 @@ TEST(ResultKey, EveryFieldChangesTheKey) {
   const Workload &W = workloads().front();
   std::set<std::string> Keys = {resultKey(W, {}, {})};
   size_t Options = eachLeafVariant<CompileOptions>(
-      [&](const CompileOptions &O, const char *Name) {
+      [&](const CompileOptions &O, const std::string &Name) {
         EXPECT_TRUE(Keys.insert(resultKey(W, O, {})).second)
             << "option " << Name;
       });
   size_t Machine = eachLeafVariant<sim::MachineConfig>(
-      [&](const sim::MachineConfig &M, const char *Name) {
+      [&](const sim::MachineConfig &M, const std::string &Name) {
         EXPECT_TRUE(Keys.insert(resultKey(W, {}, M)).second)
             << "machine field " << Name;
       });
@@ -125,7 +113,18 @@ TEST(ResultKey, SourceNameAndSaltChangeTheKey) {
   EXPECT_TRUE(Keys.insert(resultKey(W, {}, {}, "another salt")).second);
   // Deterministic: the same job keys the same way again.
   EXPECT_EQ(Keys.count(resultKey(W, {}, {})), 1u);
-  clearResultCache(); // Edited dies here; drop its memoized digest first.
+}
+
+// The key hashes the text, not its address: a source buffer rewritten in
+// place keys as the new text.
+TEST(ResultKey, SourceRewrittenInPlaceChangesTheKey) {
+  const Workload &W = workloads().front();
+  std::string Buffer = W.Source;
+  Workload Rewritten = W;
+  Rewritten.Source = Buffer.c_str();
+  std::string Before = resultKey(Rewritten, {}, {});
+  Buffer.back() = Buffer.back() == ' ' ? '\n' : ' ';
+  EXPECT_NE(resultKey(Rewritten, {}, {}), Before);
 }
 
 // Hammer runCached from 8 workers with every key requested many times
@@ -165,7 +164,9 @@ TEST(CompileService, OverlappingKeysComputeOnce) {
   // Byte-identical to an uncached 1-thread recompute.
   for (size_t I = 0; I != Distinct; ++I) {
     RunResult Fresh = runWorkload(*Jobs[I].W, Jobs[I].Opts, Jobs[I].Machine);
-    expectRunResultsEqual(*Ptrs[I], Fresh);
+    ASSERT_TRUE(Fresh.ok()) << Fresh.Error;
+    EXPECT_EQ(firstDifference(*Ptrs[I], Fresh, "cached", "fresh"), "")
+        << "job " << I;
   }
 }
 

@@ -149,8 +149,8 @@ TEST(Corpus, ParsesToPinnedOptions) {
     driver::CompileOptions Want;
     Set(Want);
     driver::forEachLeaf(
-        [&](const char *Name, const auto &Got, const auto &Pinned) {
-          EXPECT_TRUE(Got == Pinned) << Stem << ": option " << Name;
+        [&](const driver::FieldPath &F, const auto &Got, const auto &Pinned) {
+          EXPECT_TRUE(Got == Pinned) << Stem << ": option " << F.Name;
         },
         R.Options, Want);
   }

@@ -10,6 +10,7 @@
 #include "TestConfigs.h"
 
 #include "driver/Compiler.h"
+#include "fuzz/Oracle.h"
 #include "ir/Interp.h"
 #include "lang/Eval.h"
 #include "lang/Generate.h"
@@ -66,46 +67,6 @@ namespace {
 
 class FuzzSim : public ::testing::TestWithParam<uint64_t> {};
 
-/// Asserts every SimResult field equal between the two simulator cores.
-void expectSimResultsEqual(const sim::SimResult &F, const sim::SimResult &R,
-                           uint64_t Seed, const char *Tag) {
-  EXPECT_EQ(F.Finished, R.Finished) << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.Checksum, R.Checksum) << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.Cycles, R.Cycles) << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.Counts.total(), R.Counts.total())
-      << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.LoadInterlockCycles, R.LoadInterlockCycles)
-      << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.FixedInterlockCycles, R.FixedInterlockCycles)
-      << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.ICacheStallCycles, R.ICacheStallCycles)
-      << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.ITlbStallCycles, R.ITlbStallCycles)
-      << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.DTlbStallCycles, R.DTlbStallCycles)
-      << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.BranchPenaltyCycles, R.BranchPenaltyCycles)
-      << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.MshrStallCycles, R.MshrStallCycles)
-      << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.WriteBufferStallCycles, R.WriteBufferStallCycles)
-      << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.L1D.Accesses, R.L1D.Accesses)
-      << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.L1D.Misses, R.L1D.Misses)
-      << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.L1I.Accesses, R.L1I.Accesses)
-      << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.L1I.Misses, R.L1I.Misses)
-      << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.DTlbMisses, R.DTlbMisses)
-      << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.ITlbMisses, R.ITlbMisses)
-      << "seed " << Seed << " [" << Tag << "]";
-  EXPECT_EQ(F.BranchMispredicts, R.BranchMispredicts)
-      << "seed " << Seed << " [" << Tag << "]";
-}
-
 } // namespace
 
 // Sim-focused differential fuzzing: random programs through one compile,
@@ -126,7 +87,8 @@ TEST_P(FuzzSim, FastCoreMatchesReferenceCore) {
     M.Config.Impl = sim::SimImpl::Reference;
     sim::SimResult R = sim::simulate(C.M, M.Config, /*MaxCycles=*/400000);
     ASSERT_TRUE(F.ok()) << "seed " << GetParam() << ": " << F.Error;
-    expectSimResultsEqual(F, R, GetParam(), M.Tag);
+    EXPECT_EQ(fuzz::diffSimResults(F, R), "")
+        << "seed " << GetParam() << " [" << M.Tag << "]";
   }
 }
 

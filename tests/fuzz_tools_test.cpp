@@ -266,7 +266,7 @@ TEST(Repro, RoundTripsOptionsAndSource) {
   R.MachineTag = "starved";
   R.Source = "array a[8] output;\na[0] = 1.0;\n";
   driver::forEachLeaf(
-      [](const char *, auto &V) {
+      [](const driver::FieldPath &, auto &V) {
         using T = std::remove_reference_t<decltype(V)>;
         if constexpr (std::is_same_v<T, bool>)
           V = !V;
@@ -288,9 +288,9 @@ TEST(Repro, RoundTripsOptionsAndSource) {
   EXPECT_EQ(Out.Source, R.Source);
   std::set<std::string> Names;
   driver::forEachLeaf(
-      [&](const char *Name, const auto &Got, const auto &Want) {
-        EXPECT_TRUE(Names.insert(Name).second) << "duplicate name " << Name;
-        EXPECT_TRUE(Got == Want) << "option " << Name << " in\n" << Text;
+      [&](const driver::FieldPath &F, const auto &Got, const auto &Want) {
+        EXPECT_TRUE(Names.insert(F.Name).second) << "duplicate name " << F.Name;
+        EXPECT_TRUE(Got == Want) << "option " << F.Name << " in\n" << Text;
       },
       Out.Options, R.Options);
 }

@@ -6,6 +6,8 @@
 //    kinds and configurations (virtual-register code, pre-regalloc), must
 //    hash to the checked-in value in golden_schedules.inc. Any change to
 //    scheduling output — intended or not — shows up as a diff of that file.
+//    The hash is taken after a round trip through the artifact codec, so a
+//    stored compile reproduces it too.
 //  * Fast == Reference: the optimized scheduler core (sched::SchedImpl::Fast)
 //    must reproduce the preserved seed implementation's output exactly, for
 //    every workload and configuration.
@@ -18,7 +20,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/Artifacts.h"
 #include "driver/Experiment.h"
+#include "driver/JobFields.h"
 #include "ir/Interp.h"
 #include "lang/Parser.h"
 #include "lower/Lower.h"
@@ -75,12 +79,20 @@ std::vector<CompileOptions> goldenConfigs() {
   return Cs;
 }
 
+/// The module text of \p P compiled under \p Opts, read back through the
+/// artifact codec: a stored compile hashes to the same golden.
 std::string compiledText(const lang::Program &P, CompileOptions Opts,
                          sched::SchedImpl Impl) {
   Opts.Balance.Impl = Impl;
   CompileResult C = compileProgram(P, Opts);
   EXPECT_TRUE(C.ok()) << C.Error;
-  return C.ok() ? ir::printFunction(C.M.Fn) : std::string();
+  ByteWriter W;
+  encode(W, C);
+  ByteReader R(W.buffer());
+  CompileResult D;
+  EXPECT_TRUE(decode(R, D) && R.atEnd());
+  EXPECT_EQ(firstDifference(C, D, "live", "decoded"), "");
+  return C.ok() ? ir::printFunction(D.M.Fn) : std::string();
 }
 
 struct GoldenRow {
@@ -202,12 +214,7 @@ TEST(PassEquivalence, RegAllocFastMatchesReference) {
           regalloc::allocateRegisters(RefM, Opts, /*UseReferenceImpl=*/true);
       ASSERT_TRUE(FS.ok()) << W.Name << ": " << FS.Error;
       ASSERT_TRUE(RS.ok()) << W.Name << ": " << RS.Error;
-      EXPECT_EQ(FS.SpilledVRegs, RS.SpilledVRegs) << W.Name;
-      EXPECT_EQ(FS.SpillStores, RS.SpillStores) << W.Name;
-      EXPECT_EQ(FS.RestoreLoads, RS.RestoreLoads) << W.Name;
-      EXPECT_EQ(FS.Remats, RS.Remats) << W.Name;
-      EXPECT_EQ(FS.IntRegsUsed, RS.IntRegsUsed) << W.Name;
-      EXPECT_EQ(FS.FpRegsUsed, RS.FpRegsUsed) << W.Name;
+      EXPECT_EQ(firstDifference(FS, RS, "fast", "ref"), "") << W.Name;
       EXPECT_EQ(ir::printFunction(FastM.Fn), ir::printFunction(RefM.Fn))
           << W.Name << " regs/class=" << PerClass
           << ": dense allocator diverged from the reference allocator";
@@ -222,13 +229,10 @@ TEST(PassEquivalence, PredecodedInterpreterMatchesByInstr) {
   for (const Workload &W : workloads()) {
     ir::Module M = lowerWorkload(W, 4);
     opt::cleanupModule(M);
-    ir::InterpResult Fast = ir::interpret(M);
-    ir::InterpResult Ref = ir::interpretByInstr(M);
-    EXPECT_EQ(Fast.Finished, Ref.Finished) << W.Name;
-    EXPECT_EQ(Fast.DynInstrs, Ref.DynInstrs) << W.Name;
-    EXPECT_EQ(Fast.Checksum, Ref.Checksum) << W.Name;
-    EXPECT_EQ(Fast.BlockCounts, Ref.BlockCounts) << W.Name;
-    EXPECT_EQ(Fast.EdgeCounts, Ref.EdgeCounts) << W.Name;
+    EXPECT_EQ(firstDifference(ir::interpret(M), ir::interpretByInstr(M),
+                              "fast", "ref"),
+              "")
+        << W.Name;
     // The budget cutoff truncates at the same block boundary.
     ir::InterpResult FastCut = ir::interpret(M, 10000);
     ir::InterpResult RefCut = ir::interpretByInstr(M, 10000);
@@ -239,8 +243,8 @@ TEST(PassEquivalence, PredecodedInterpreterMatchesByInstr) {
 }
 
 /// Experiment results are a pure function of the job: running the same jobs
-/// sequentially and on a multi-worker pool yields identical cycle counts and
-/// checksums (per-compile RNG streams, no cross-compile state).
+/// sequentially and on a multi-worker pool yields identical results, every
+/// field (per-compile RNG streams, no cross-compile state).
 TEST(ParallelPipeline, ThreadCountInvariance) {
   std::vector<const Workload *> Ws;
   const auto &All = workloads();
@@ -253,29 +257,21 @@ TEST(ParallelPipeline, ThreadCountInvariance) {
   Cfgs[1].UnrollFactor = 4;
   Cfgs[1].TraceScheduling = true;
 
-  struct Outcome {
-    uint64_t Cycles = 0;
-    uint64_t Checksum = 0;
-  };
   auto RunAt = [&](unsigned Threads) {
-    std::vector<Outcome> Out(Ws.size() * Cfgs.size());
+    std::vector<RunResult> Out(Ws.size() * Cfgs.size());
     ThreadPool::parallelFor(Threads, Out.size(), [&](size_t I) {
       const Workload &W = *Ws[I % Ws.size()];
-      const CompileOptions &O = Cfgs[I / Ws.size()];
-      RunResult R = runWorkload(W, O);
-      ASSERT_TRUE(R.ok()) << W.Name << ": " << R.Error;
-      Out[I] = {R.Sim.Cycles, R.Sim.Checksum};
+      Out[I] = runWorkload(W, Cfgs[I / Ws.size()]);
+      ASSERT_TRUE(Out[I].ok()) << W.Name << ": " << Out[I].Error;
     });
     return Out;
   };
 
-  std::vector<Outcome> Seq = RunAt(1);
-  std::vector<Outcome> Par = RunAt(3);
+  std::vector<RunResult> Seq = RunAt(1);
+  std::vector<RunResult> Par = RunAt(3);
   ASSERT_EQ(Seq.size(), Par.size());
-  for (size_t I = 0; I != Seq.size(); ++I) {
-    EXPECT_EQ(Seq[I].Cycles, Par[I].Cycles) << "job " << I;
-    EXPECT_EQ(Seq[I].Checksum, Par[I].Checksum) << "job " << I;
-  }
+  for (size_t I = 0; I != Seq.size(); ++I)
+    EXPECT_EQ(firstDifference(Seq[I], Par[I], "seq", "par"), "") << "job " << I;
 }
 
 /// Hammer runCached with concurrent same-key calls: every caller must get

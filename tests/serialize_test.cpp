@@ -1,26 +1,26 @@
 //===- tests/serialize_test.cpp - Artifact serialization round-trips -------===//
 //
 // The persistent artifact store is only safe if deserialization is an exact
-// inverse of serialization. This file pins that down at three levels:
+// inverse of serialization. This file pins that down at two levels:
 //
 //  * ByteWriter/ByteReader primitives: every scalar and string round-trips
 //    bit-exact, truncated input fails sticky, and length prefixes are
-//    validated against the remaining bytes before any allocation.
-//  * Whole-artifact codecs: fully-populated SimResult / InterpResult /
-//    Module / CompileResult / RunResult values survive encode→decode with
-//    every field equal, and the decoder consumes exactly the bytes the
-//    encoder produced.
-//  * Golden reproduction: a CompileResult decoded from its encoding hashes
-//    to the same checked-in golden schedule hash as the live compile, and a
-//    decoded SimResult reproduces the pinned golden sim-stats hash — the
-//    disk tier can never ship different bytes than a recompute.
+//    validated against the remaining bytes before any allocation; the word
+//    digest sees every byte.
+//  * Whole-artifact codecs: a dense value of each artifact type (every
+//    leaf off its default, generated from the field lists) and real
+//    compiles survive encode→decode with every field equal, the decoder
+//    consumes exactly the bytes the encoder produced, and the dense
+//    values' bytes are pinned.
+//
+// golden_schedule_test and golden_sim_test hash decoded artifacts, so the
+// disk tier can never ship different bytes than a recompute.
 //
 //===----------------------------------------------------------------------===//
 
-#include "TestConfigs.h"
-
 #include "driver/Artifacts.h"
 #include "driver/Experiment.h"
+#include "driver/JobFields.h"
 #include "ir/Interp.h"
 #include "support/Serialize.h"
 
@@ -116,105 +116,136 @@ TEST(ByteStream, CanHoldRejectsAbsurdCounts) {
   EXPECT_TRUE(R2.canHold(0, 1024)); // zero elements always fit
 }
 
+// resultKey's source digest sees every byte and the length: flipping any
+// byte, or appending a zero byte, gives a new digest, across the four-lane
+// loop and every tail length.
+TEST(WordDigest, EveryByteAndTheLengthCount) {
+  for (size_t Len = 0; Len != 70; ++Len) {
+    std::string Text(Len, 'x');
+    uint64_t D = wordDigest(Text.data(), Len);
+    std::string Longer = Text + '\0';
+    EXPECT_NE(wordDigest(Longer.data(), Longer.size()), D) << Len;
+    for (size_t I = 0; I != Len; ++I) {
+      std::string Flipped = Text;
+      Flipped[I] ^= 1;
+      EXPECT_NE(wordDigest(Flipped.data(), Len), D) << Len << " " << I;
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Whole-artifact codecs
 //===----------------------------------------------------------------------===//
 
-sim::SimResult denseSimResult() {
-  sim::SimResult S;
-  S.Finished = true;
-  S.Error = "not an error, just bytes";
-  S.Checksum = 0x0123456789abcdefull;
-  S.Cycles = 1234567;
-  S.Counts.ShortInt = 11;
-  S.Counts.LongInt = 12;
-  S.Counts.ShortFp = 13;
-  S.Counts.LongFp = 14;
-  S.Counts.Loads = 15;
-  S.Counts.Stores = 16;
-  S.Counts.Branches = 17;
-  S.Counts.Spills = 18;
-  S.Counts.Restores = 19;
-  S.LoadInterlockCycles = 21;
-  S.FixedInterlockCycles = 22;
-  S.ICacheStallCycles = 23;
-  S.ITlbStallCycles = 24;
-  S.DTlbStallCycles = 25;
-  S.BranchPenaltyCycles = 26;
-  S.MshrStallCycles = 27;
-  S.WriteBufferStallCycles = 28;
-  S.L1D = {31, 32};
-  S.L2 = {33, 34};
-  S.L3 = {35, 36};
-  S.L1I = {37, 38};
-  S.DTlbMisses = 41;
-  S.ITlbMisses = 42;
-  S.BranchMispredicts = 43;
-  return S;
+/// A module with every encoded field off its default, built by hand (the
+/// module codec is the one written by hand, too).
+ir::Module denseModule() {
+  ir::Module M;
+  ir::ArrayInfo A;
+  A.Name = "a";
+  A.Dims = {4, 8};
+  A.ElemSize = 4;
+  A.RowMajor = false;
+  A.IsOutput = true;
+  A.Base = 64;
+  M.addArray(A);
+  M.Fn.Name = "dense";
+  ir::Instr I;
+  I.Op = ir::Opcode::FLoad;
+  I.Dst = M.Fn.makeReg(ir::RegClass::Fp);
+  I.SrcA = ir::Reg(1);
+  I.SrcB = ir::Reg(2);
+  I.SrcC = ir::Reg(3);
+  I.Imm = -5;
+  I.HasImm = true;
+  I.Base = ir::Reg(4);
+  I.Offset = 16;
+  I.Mem.ArrayId = 0;
+  I.Mem.HasForm = true;
+  I.Mem.Terms = {{65, 3}, {66, -2}};
+  I.Mem.Const = 7;
+  I.Mem.Size = 4;
+  I.HM = ir::HitMiss::Miss;
+  I.LocalityGroup = 2;
+  I.IsSpill = I.IsRestore = I.IsRemat = true;
+  I.Target0 = 1;
+  I.Target1 = 2;
+  ir::BasicBlock &B = M.Fn.Blocks[M.Fn.makeBlock()];
+  B.ExactTripCount = 16;
+  B.Instrs.push_back(I);
+  M.MemorySize = 4096;
+  M.SpillArrayId = 0;
+  return M;
 }
 
-TEST(ArtifactRoundTrip, SimResultEveryField) {
-  sim::SimResult S = denseSimResult();
-  ByteWriter W;
-  encode(W, S);
-  ByteReader R(W.buffer());
-  sim::SimResult D;
-  D.Cycles = 777; // decoder must reset, not merge
-  ASSERT_TRUE(decode(R, D));
-  EXPECT_TRUE(R.atEnd());
-  EXPECT_EQ(D.Finished, S.Finished);
-  EXPECT_EQ(D.Error, S.Error);
-  EXPECT_EQ(D.Checksum, S.Checksum);
-  EXPECT_EQ(D.Cycles, S.Cycles);
-  EXPECT_EQ(D.Counts.ShortInt, S.Counts.ShortInt);
-  EXPECT_EQ(D.Counts.LongInt, S.Counts.LongInt);
-  EXPECT_EQ(D.Counts.ShortFp, S.Counts.ShortFp);
-  EXPECT_EQ(D.Counts.LongFp, S.Counts.LongFp);
-  EXPECT_EQ(D.Counts.Loads, S.Counts.Loads);
-  EXPECT_EQ(D.Counts.Stores, S.Counts.Stores);
-  EXPECT_EQ(D.Counts.Branches, S.Counts.Branches);
-  EXPECT_EQ(D.Counts.Spills, S.Counts.Spills);
-  EXPECT_EQ(D.Counts.Restores, S.Counts.Restores);
-  EXPECT_EQ(D.LoadInterlockCycles, S.LoadInterlockCycles);
-  EXPECT_EQ(D.FixedInterlockCycles, S.FixedInterlockCycles);
-  EXPECT_EQ(D.ICacheStallCycles, S.ICacheStallCycles);
-  EXPECT_EQ(D.ITlbStallCycles, S.ITlbStallCycles);
-  EXPECT_EQ(D.DTlbStallCycles, S.DTlbStallCycles);
-  EXPECT_EQ(D.BranchPenaltyCycles, S.BranchPenaltyCycles);
-  EXPECT_EQ(D.MshrStallCycles, S.MshrStallCycles);
-  EXPECT_EQ(D.WriteBufferStallCycles, S.WriteBufferStallCycles);
-  EXPECT_EQ(D.L1D.Accesses, S.L1D.Accesses);
-  EXPECT_EQ(D.L1D.Misses, S.L1D.Misses);
-  EXPECT_EQ(D.L2.Accesses, S.L2.Accesses);
-  EXPECT_EQ(D.L2.Misses, S.L2.Misses);
-  EXPECT_EQ(D.L3.Accesses, S.L3.Accesses);
-  EXPECT_EQ(D.L3.Misses, S.L3.Misses);
-  EXPECT_EQ(D.L1I.Accesses, S.L1I.Accesses);
-  EXPECT_EQ(D.L1I.Misses, S.L1I.Misses);
-  EXPECT_EQ(D.DTlbMisses, S.DTlbMisses);
-  EXPECT_EQ(D.ITlbMisses, S.ITlbMisses);
-  EXPECT_EQ(D.BranchMispredicts, S.BranchMispredicts);
+/// Sets every leaf of \p X off its default, walking the field lists:
+/// numbers count up from \p Next in list order, strings spell their number,
+/// vectors hold two such elements, enums take their second enumerator, and
+/// modules are denseModule().
+template <typename V> void fillDense(V &X, uint64_t &Next) {
+  if constexpr (Listed<V>)
+    forEachLeaf([&Next](const FieldPath &, auto &L) { fillDense(L, Next); },
+                X);
+  else if constexpr (std::is_same_v<V, ir::Module>)
+    X = denseModule();
+  else if constexpr (IsVector<V> || IsArray<V>) {
+    if constexpr (IsVector<V>)
+      X.resize(2);
+    for (auto &E : X)
+      fillDense(E, Next);
+  } else if constexpr (std::is_same_v<V, std::string>)
+    X = "s" + std::to_string(Next++);
+  else if constexpr (std::is_same_v<V, bool>)
+    X = true;
+  else if constexpr (std::is_enum_v<V>)
+    X = static_cast<V>(1);
+  else
+    X = static_cast<V>(Next++);
 }
 
-TEST(ArtifactRoundTrip, InterpResultEveryField) {
-  ir::InterpResult P;
-  P.Finished = true;
-  P.DynInstrs = 987654321;
-  P.Checksum = 0xfeedfacecafebeefull;
-  P.BlockCounts = {0, 3, 1u << 30, 7};
-  P.EdgeCounts.push_back({0, 17});
-  P.EdgeCounts.push_back({3, 4096});
+template <typename T> T dense(uint64_t First = 1) {
+  T X{};
+  fillDense(X, First);
+  return X;
+}
+
+template <typename T> std::string encoded(const T &X) {
   ByteWriter W;
-  encode(W, P);
-  ByteReader R(W.buffer());
-  ir::InterpResult D;
-  ASSERT_TRUE(decode(R, D));
-  EXPECT_TRUE(R.atEnd());
-  EXPECT_EQ(D.Finished, P.Finished);
-  EXPECT_EQ(D.DynInstrs, P.DynInstrs);
-  EXPECT_EQ(D.Checksum, P.Checksum);
-  EXPECT_EQ(D.BlockCounts, P.BlockCounts);
-  EXPECT_EQ(D.EdgeCounts, P.EdgeCounts);
+  encode(W, X);
+  return W.take();
+}
+
+/// Decodes \p X's bytes over a value whose every leaf differs (the decoder
+/// must reset, not merge), and expects every field back and the decoder to
+/// consume exactly the encoded bytes. Re-encoding covers the HostClock
+/// timers firstDifference skips.
+template <typename T> void expectRoundTrip(const T &X, const std::string &What) {
+  std::string Bytes = encoded(X);
+  ByteReader R(Bytes);
+  T D = dense<T>(1000);
+  ASSERT_TRUE(decode(R, D)) << What;
+  EXPECT_TRUE(R.atEnd()) << What;
+  EXPECT_EQ(firstDifference(X, D, "encoded", "decoded"), "") << What;
+  EXPECT_EQ(encoded(D), Bytes) << What;
+}
+
+TEST(ArtifactRoundTrip, DenseValuesEveryField) {
+  expectRoundTrip(dense<sim::SimResult>(), "SimResult");
+  expectRoundTrip(dense<ir::InterpResult>(), "InterpResult");
+  expectRoundTrip(denseModule(), "Module");
+  expectRoundTrip(dense<CompileResult>(), "CompileResult");
+  expectRoundTrip(dense<RunResult>(), "RunResult");
+}
+
+// The bytes of one dense value per artifact type, pinned: a changed hash is
+// a changed layout, which must bump ArtifactSchemaVersion (and then these).
+TEST(ArtifactRoundTrip, DenseEncodingsArePinned) {
+  EXPECT_EQ(ArtifactSchemaVersion, 1u);
+  EXPECT_EQ(fnv1a(encoded(dense<sim::SimResult>())), 0x34d084f4e131d30dull);
+  EXPECT_EQ(fnv1a(encoded(dense<ir::InterpResult>())), 0x38b22fc803a7fa8eull);
+  EXPECT_EQ(fnv1a(encoded(denseModule())), 0x8822e38993942c4cull);
+  EXPECT_EQ(fnv1a(encoded(dense<CompileResult>())), 0xd062252688ac00d4ull);
+  EXPECT_EQ(fnv1a(encoded(dense<RunResult>())), 0x2c5d2ba3f18ac0a4ull);
 }
 
 TEST(ArtifactRoundTrip, CompileResultEveryWorkload) {
@@ -229,38 +260,19 @@ TEST(ArtifactRoundTrip, CompileResultEveryWorkload) {
       lang::Program P = parseWorkload(Wl);
       CompileResult C = compileProgram(P, Opts);
       ASSERT_TRUE(C.ok()) << Wl.Name << ": " << C.Error;
-
-      ByteWriter W;
-      encode(W, C);
-      ByteReader R(W.buffer());
-      CompileResult D;
-      ASSERT_TRUE(decode(R, D)) << Wl.Name << " [" << Opts.tag() << "]";
-      EXPECT_TRUE(R.atEnd()) << Wl.Name;
-
-      EXPECT_EQ(D.Error, C.Error);
-      EXPECT_EQ(ir::printFunction(D.M.Fn), ir::printFunction(C.M.Fn))
-          << Wl.Name << " [" << Opts.tag() << "]: module text changed";
-      EXPECT_EQ(D.M.MemorySize, C.M.MemorySize);
-      EXPECT_EQ(D.M.SpillArrayId, C.M.SpillArrayId);
-      EXPECT_EQ(D.M.Arrays.size(), C.M.Arrays.size());
-      EXPECT_EQ(D.M.Fn.RegClasses, C.M.Fn.RegClasses);
-      EXPECT_EQ(D.Unroll.LoopsUnrolled, C.Unroll.LoopsUnrolled);
-      EXPECT_EQ(D.Cleanup.DeadRemoved, C.Cleanup.DeadRemoved);
-      EXPECT_EQ(D.Trace.Traces, C.Trace.Traces);
-      EXPECT_EQ(D.Trace.CompensationInstrs, C.Trace.CompensationInstrs);
-      EXPECT_EQ(D.Trace.Formed, C.Trace.Formed);
-      EXPECT_EQ(D.RegAlloc.SpilledVRegs, C.RegAlloc.SpilledVRegs);
-      EXPECT_EQ(D.RegAlloc.IntRegsUsed, C.RegAlloc.IntRegsUsed);
-      EXPECT_EQ(D.Exact.BlocksAttempted, C.Exact.BlocksAttempted);
-      EXPECT_EQ(D.VerifyDiags.size(), C.VerifyDiags.size());
+      std::string What = std::string(Wl.Name) + " [" + Opts.tag() + "]";
+      expectRoundTrip(C, What);
 
       // The decoded module is a live module: the interpreter runs it to the
-      // same checksum as the original.
-      ir::InterpResult IC = ir::interpret(C.M);
-      ir::InterpResult ID = ir::interpret(D.M);
-      EXPECT_EQ(ID.Finished, IC.Finished) << Wl.Name;
-      EXPECT_EQ(ID.Checksum, IC.Checksum) << Wl.Name;
-      EXPECT_EQ(ID.DynInstrs, IC.DynInstrs) << Wl.Name;
+      // same result as the original.
+      std::string Bytes = encoded(C);
+      ByteReader R(Bytes);
+      CompileResult D;
+      ASSERT_TRUE(decode(R, D)) << What;
+      EXPECT_EQ(firstDifference(ir::interpret(C.M), ir::interpret(D.M),
+                                "encoded", "decoded"),
+                "")
+          << What;
     }
   }
 }
@@ -271,20 +283,7 @@ TEST(ArtifactRoundTrip, RunResultEndToEnd) {
   Opts.UnrollFactor = 4;
   RunResult R = runWorkload(Wl, Opts);
   ASSERT_TRUE(R.ok()) << R.Error;
-
-  ByteWriter W;
-  encode(W, R);
-  ByteReader Rd(W.buffer());
-  RunResult D;
-  ASSERT_TRUE(decode(Rd, D));
-  EXPECT_TRUE(Rd.atEnd());
-  EXPECT_EQ(D.Error, R.Error);
-  EXPECT_EQ(D.Sim.Cycles, R.Sim.Cycles);
-  EXPECT_EQ(D.Sim.Checksum, R.Sim.Checksum);
-  EXPECT_EQ(D.Sim.LoadInterlockCycles, R.Sim.LoadInterlockCycles);
-  EXPECT_EQ(D.Unroll.LoopsUnrolled, R.Unroll.LoopsUnrolled);
-  EXPECT_EQ(D.RegAlloc.SpillStores, R.RegAlloc.SpillStores);
-  EXPECT_EQ(D.Trace.Traces, R.Trace.Traces);
+  expectRoundTrip(R, Wl.Name);
 }
 
 TEST(ArtifactRoundTrip, TruncatedModuleFailsCleanly) {
@@ -304,184 +303,6 @@ TEST(ArtifactRoundTrip, TruncatedModuleFailsCleanly) {
     CompileResult D;
     EXPECT_FALSE(decode(R, D) && R.atEnd()) << "cut at " << Cut;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Golden reproduction through the codec
-//===----------------------------------------------------------------------===//
-
-uint64_t strFnv(const std::string &S) { return fnv1a(S); }
-
-/// Mirrors golden_schedule_test's configuration list; the golden hashes are
-/// keyed by CompileOptions::tag(), so the decoded artifacts must reproduce
-/// them under exactly these configurations.
-std::vector<CompileOptions> goldenConfigs() {
-  std::vector<CompileOptions> Cs;
-  auto Base = [] {
-    CompileOptions O;
-    O.StopBeforeRegAlloc = true;
-    O.VerifyPasses = false;
-    return O;
-  };
-  for (sched::SchedulerKind K :
-       {sched::SchedulerKind::Balanced, sched::SchedulerKind::Traditional,
-        sched::SchedulerKind::Hybrid}) {
-    CompileOptions O = Base();
-    O.Scheduler = K;
-    Cs.push_back(O);
-  }
-  for (sched::SchedulerKind K :
-       {sched::SchedulerKind::Balanced, sched::SchedulerKind::Traditional}) {
-    for (bool Est : {false, true}) {
-      CompileOptions O = Base();
-      O.Scheduler = K;
-      O.UnrollFactor = 8;
-      O.TraceScheduling = true;
-      O.UseEstimatedProfile = Est;
-      Cs.push_back(O);
-    }
-  }
-  return Cs;
-}
-
-struct GoldenScheduleRow {
-  const char *Config;
-  const char *Workload;
-  uint64_t Hash;
-};
-
-const GoldenScheduleRow GoldenSchedules[] = {
-#include "golden_schedules.inc"
-    {"", "", 0},
-};
-
-uint64_t findGoldenSchedule(const std::string &Config,
-                            const std::string &Workload) {
-  for (const GoldenScheduleRow &R : GoldenSchedules)
-    if (Config == R.Config && Workload == R.Workload)
-      return R.Hash;
-  return 0;
-}
-
-TEST(GoldenReproduction, DecodedCompileResultsMatchScheduleGoldens) {
-  size_t Checked = 0;
-  for (const CompileOptions &Opts : goldenConfigs()) {
-    for (const Workload &Wl : workloads()) {
-      lang::Program P = parseWorkload(Wl);
-      CompileResult C = compileProgram(P, Opts);
-      ASSERT_TRUE(C.ok()) << Wl.Name << ": " << C.Error;
-
-      ByteWriter W;
-      encode(W, C);
-      ByteReader R(W.buffer());
-      CompileResult D;
-      ASSERT_TRUE(decode(R, D)) << Wl.Name << " [" << Opts.tag() << "]";
-
-      uint64_t Golden = findGoldenSchedule(Opts.tag(), Wl.Name);
-      ASSERT_NE(Golden, 0u)
-          << Wl.Name << " [" << Opts.tag() << "]: no golden entry";
-      EXPECT_EQ(strFnv(ir::printFunction(D.M.Fn)), Golden)
-          << Wl.Name << " [" << Opts.tag()
-          << "]: decoded artifact hashes differently than the live compile";
-      ++Checked;
-    }
-  }
-  // 7 configs x 17 workloads: the full pinned matrix went through the codec.
-  EXPECT_EQ(Checked, goldenConfigs().size() * workloads().size());
-}
-
-/// Identical to golden_sim_test's dumpResult — the golden sim hashes are
-/// over this exact string.
-std::string dumpResult(const sim::SimResult &R) {
-  std::string S;
-  auto Add = [&S](uint64_t V) {
-    S += std::to_string(V);
-    S += ',';
-  };
-  Add(R.Finished ? 1 : 0);
-  Add(R.Checksum);
-  Add(R.Cycles);
-  Add(R.Counts.ShortInt);
-  Add(R.Counts.LongInt);
-  Add(R.Counts.ShortFp);
-  Add(R.Counts.LongFp);
-  Add(R.Counts.Loads);
-  Add(R.Counts.Stores);
-  Add(R.Counts.Branches);
-  Add(R.Counts.Spills);
-  Add(R.Counts.Restores);
-  Add(R.LoadInterlockCycles);
-  Add(R.FixedInterlockCycles);
-  Add(R.ICacheStallCycles);
-  Add(R.ITlbStallCycles);
-  Add(R.DTlbStallCycles);
-  Add(R.BranchPenaltyCycles);
-  Add(R.MshrStallCycles);
-  Add(R.WriteBufferStallCycles);
-  Add(R.L1D.Accesses);
-  Add(R.L1D.Misses);
-  Add(R.L2.Accesses);
-  Add(R.L2.Misses);
-  Add(R.L3.Accesses);
-  Add(R.L3.Misses);
-  Add(R.L1I.Accesses);
-  Add(R.L1I.Misses);
-  Add(R.DTlbMisses);
-  Add(R.ITlbMisses);
-  Add(R.BranchMispredicts);
-  return S;
-}
-
-struct GoldenSimRow {
-  const char *Machine;
-  const char *Workload;
-  uint64_t Hash;
-};
-
-const GoldenSimRow GoldenSims[] = {
-#include "golden_sim_stats.inc"
-    {"", "", 0},
-};
-
-uint64_t findGoldenSim(const std::string &Machine,
-                       const std::string &Workload) {
-  for (const GoldenSimRow &R : GoldenSims)
-    if (Machine == R.Machine && Workload == R.Workload)
-      return R.Hash;
-  return 0;
-}
-
-TEST(GoldenReproduction, DecodedSimResultsMatchSimGoldens) {
-  CompileOptions Opts;
-  Opts.UnrollFactor = 4;
-  Opts.VerifyPasses = false;
-  std::vector<test::MachinePoint> Machines = test::goldenSimMachines();
-  size_t Checked = 0;
-  for (const Workload &Wl : workloads()) {
-    lang::Program P = parseWorkload(Wl);
-    CompileResult C = compileProgram(P, Opts);
-    ASSERT_TRUE(C.ok()) << Wl.Name << ": " << C.Error;
-    for (const test::MachinePoint &M : Machines) {
-      sim::SimResult S = sim::simulate(C.M, M.Config);
-      ASSERT_TRUE(S.ok()) << Wl.Name << " [" << M.Tag << "]: " << S.Error;
-
-      ByteWriter W;
-      encode(W, S);
-      ByteReader R(W.buffer());
-      sim::SimResult D;
-      ASSERT_TRUE(decode(R, D)) << Wl.Name << " [" << M.Tag << "]";
-      EXPECT_TRUE(R.atEnd());
-
-      uint64_t Golden = findGoldenSim(M.Tag, Wl.Name);
-      ASSERT_NE(Golden, 0u)
-          << Wl.Name << " [" << M.Tag << "]: no golden entry";
-      EXPECT_EQ(strFnv(dumpResult(D)), Golden)
-          << Wl.Name << " [" << M.Tag
-          << "]: decoded sim stats hash differently than the live run";
-      ++Checked;
-    }
-  }
-  EXPECT_EQ(Checked, workloads().size() * Machines.size());
 }
 
 } // namespace

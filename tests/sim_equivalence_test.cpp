@@ -24,6 +24,7 @@
 #include "TestConfigs.h"
 
 #include "driver/Experiment.h"
+#include "fuzz/Oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -44,43 +45,6 @@ using fuzz::widthMachine;
 
 namespace {
 
-/// Asserts every field of two SimResults equal.
-void expectSimEqual(const SimResult &F, const SimResult &R,
-                    const std::string &What) {
-  EXPECT_EQ(F.Error, R.Error) << What;
-  EXPECT_EQ(F.Finished, R.Finished) << What;
-  EXPECT_EQ(F.Checksum, R.Checksum) << What;
-  EXPECT_EQ(F.Cycles, R.Cycles) << What;
-  EXPECT_EQ(F.Counts.ShortInt, R.Counts.ShortInt) << What;
-  EXPECT_EQ(F.Counts.LongInt, R.Counts.LongInt) << What;
-  EXPECT_EQ(F.Counts.ShortFp, R.Counts.ShortFp) << What;
-  EXPECT_EQ(F.Counts.LongFp, R.Counts.LongFp) << What;
-  EXPECT_EQ(F.Counts.Loads, R.Counts.Loads) << What;
-  EXPECT_EQ(F.Counts.Stores, R.Counts.Stores) << What;
-  EXPECT_EQ(F.Counts.Branches, R.Counts.Branches) << What;
-  EXPECT_EQ(F.Counts.Spills, R.Counts.Spills) << What;
-  EXPECT_EQ(F.Counts.Restores, R.Counts.Restores) << What;
-  EXPECT_EQ(F.LoadInterlockCycles, R.LoadInterlockCycles) << What;
-  EXPECT_EQ(F.FixedInterlockCycles, R.FixedInterlockCycles) << What;
-  EXPECT_EQ(F.ICacheStallCycles, R.ICacheStallCycles) << What;
-  EXPECT_EQ(F.ITlbStallCycles, R.ITlbStallCycles) << What;
-  EXPECT_EQ(F.DTlbStallCycles, R.DTlbStallCycles) << What;
-  EXPECT_EQ(F.BranchPenaltyCycles, R.BranchPenaltyCycles) << What;
-  EXPECT_EQ(F.MshrStallCycles, R.MshrStallCycles) << What;
-  EXPECT_EQ(F.WriteBufferStallCycles, R.WriteBufferStallCycles) << What;
-  EXPECT_EQ(F.L1D.Accesses, R.L1D.Accesses) << What;
-  EXPECT_EQ(F.L1D.Misses, R.L1D.Misses) << What;
-  EXPECT_EQ(F.L2.Accesses, R.L2.Accesses) << What;
-  EXPECT_EQ(F.L2.Misses, R.L2.Misses) << What;
-  EXPECT_EQ(F.L3.Accesses, R.L3.Accesses) << What;
-  EXPECT_EQ(F.L3.Misses, R.L3.Misses) << What;
-  EXPECT_EQ(F.L1I.Accesses, R.L1I.Accesses) << What;
-  EXPECT_EQ(F.L1I.Misses, R.L1I.Misses) << What;
-  EXPECT_EQ(F.DTlbMisses, R.DTlbMisses) << What;
-  EXPECT_EQ(F.ITlbMisses, R.ITlbMisses) << What;
-  EXPECT_EQ(F.BranchMispredicts, R.BranchMispredicts) << What;
-}
-
 /// Runs both cores on \p M and asserts bit-identical results.
 void expectTwinsAgree(const ir::Module &M, MachineConfig C,
                       uint64_t MaxCycles, const std::string &What) {
@@ -88,7 +52,7 @@ void expectTwinsAgree(const ir::Module &M, MachineConfig C,
   SimResult F = simulate(M, C, MaxCycles);
   C.Impl = SimImpl::Reference;
   SimResult R = simulate(M, C, MaxCycles);
-  expectSimEqual(F, R, What);
+  EXPECT_EQ(fuzz::diffSimResults(F, R), "") << What;
 }
 
 } // namespace
@@ -158,7 +122,7 @@ TEST(SimEquivalence, FullRunsToCompletion) {
     M.Impl = SimImpl::Reference;
     SimResult R = simulate(C.M, M);
     ASSERT_TRUE(R.Finished) << All[WI].Name;
-    expectSimEqual(F, R, All[WI].Name);
+    EXPECT_EQ(fuzz::diffSimResults(F, R), "") << All[WI].Name;
   }
 }
 
