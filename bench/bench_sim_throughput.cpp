@@ -11,6 +11,10 @@
 //   dcache    memory hierarchy + TLB + MSHRs   (PerfectFrontEnd - simple)
 //   fetch     I-stream: L1I/ITLB/predictor     (full 21164 - PerfectFrontEnd)
 //
+// Beside them it times the AST oracle (lang::evalProgram) on each workload's
+// source, cross-checks its checksum against the simulated one, and rates it
+// in the same unit: the 21164 rows' dynamic instructions per second.
+//
 // Emits machine-readable BENCH_sim.json so the simulated-instructions-per-
 // second trajectory is tracked across PRs, and optionally gates against a
 // checked-in baseline (exit 1 on a >25% regression).
@@ -21,8 +25,9 @@
 //
 //   --quick       1 repetition per measurement (the CI mode).
 //   --json PATH   where to write BENCH_sim.json (default: cwd).
-//   --baseline    baseline JSON with "min_instrs_per_sec" per model tag;
-//                 exit 1 if any measured throughput falls below 75% of it.
+//   --baseline    baseline JSON with "min_instrs_per_sec" per model tag
+//                 (or "oracle"); exit 1 if any measured throughput falls
+//                 below 75% of it.
 //   --max-threads cap for the thread-scaling sweep (default 8).
 //
 //===----------------------------------------------------------------------===//
@@ -30,6 +35,7 @@
 #include "BenchCommon.h"
 #include "driver/Compiler.h"
 #include "driver/Workloads.h"
+#include "lang/Eval.h"
 #include "lang/Parser.h"
 #include "sim/Machine.h"
 #include "support/Str.h"
@@ -76,6 +82,7 @@ struct WorkloadRow {
   uint64_t Instrs = 0; ///< retired dynamic instructions on the full model.
   uint64_t Ns[4] = {0, 0, 0, 0}; ///< fast-core time under each model.
   uint64_t RefNs = 0;            ///< reference core, full model.
+  uint64_t OracleNs = 0;         ///< lang::evalProgram on the source.
 };
 
 struct ScalePoint {
@@ -118,6 +125,7 @@ int main(int argc, char **argv) {
   Opts.UnrollFactor = 8;
   Opts.TraceScheduling = true;
   Opts.VerifyPasses = false; // timing the simulator; tests verify.
+  std::vector<lang::Program> Programs;
   std::vector<ir::Module> Modules;
   std::vector<WorkloadRow> Rows;
   for (const Workload &W : workloads()) {
@@ -127,6 +135,7 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "FATAL: %s: %s\n", W.Name, C.Error.c_str());
       return 1;
     }
+    Programs.push_back(std::move(P));
     Modules.push_back(std::move(C.M));
     WorkloadRow R;
     R.Name = W.Name;
@@ -134,10 +143,12 @@ int main(int argc, char **argv) {
   }
 
   // Measure: fast core under every model, reference core under the full
-  // model, and a field-level equivalence cross-check of the two cores.
+  // model, and a field-level equivalence cross-check of the two cores; then
+  // the oracle, checked against the simulated checksum.
   for (size_t WI = 0; WI != Modules.size(); ++WI) {
     const ir::Module &M = Modules[WI];
     WorkloadRow &R = Rows[WI];
+    uint64_t SimChecksum = 0;
     for (size_t MI = 0; MI != Models.size(); ++MI) {
       sim::MachineConfig C = Models[MI].C;
       C.Impl = sim::SimImpl::Fast;
@@ -151,6 +162,7 @@ int main(int argc, char **argv) {
       }
       if (!std::strcmp(Models[MI].Tag, "21164")) {
         R.Instrs = First.Counts.total();
+        SimChecksum = First.Checksum;
         // The twin contract, re-checked where the numbers are produced: the
         // reference core must agree on the statistics this bench reports.
         sim::MachineConfig RC = Models[MI].C;
@@ -172,14 +184,26 @@ int main(int argc, char **argv) {
         (void)S;
       });
     }
+    lang::EvalResult Oracle = lang::evalProgram(Programs[WI]);
+    if (!Oracle.ok() || Oracle.Checksum != SimChecksum) {
+      std::fprintf(stderr, "FATAL: %s: the oracle %s\n", R.Name.c_str(),
+                   Oracle.ok() ? "disagrees with the simulated checksum"
+                               : Oracle.Error.c_str());
+      return 1;
+    }
+    R.OracleNs = bestOf(Reps, [&] {
+      lang::EvalResult E = lang::evalProgram(Programs[WI]);
+      (void)E;
+    });
   }
 
   // --- Aggregates -----------------------------------------------------------
-  uint64_t TotalInstrs = 0, TotalRefNs = 0;
+  uint64_t TotalInstrs = 0, TotalRefNs = 0, TotalOracleNs = 0;
   uint64_t TotalNs[4] = {0, 0, 0, 0};
   for (const WorkloadRow &R : Rows) {
     TotalInstrs += R.Instrs;
     TotalRefNs += R.RefNs;
+    TotalOracleNs += R.OracleNs;
     for (size_t MI = 0; MI != 4; ++MI)
       TotalNs[MI] += R.Ns[MI];
   }
@@ -191,6 +215,10 @@ int main(int argc, char **argv) {
   for (size_t MI = 0; MI != Models.size(); ++MI)
     std::printf("  %-9s %10.2f Minstr/s\n", Models[MI].Tag,
                 Ips(TotalNs[MI]) / 1e6);
+  std::printf("  %-9s %10.2f Minstr/s (AST oracle, %.1f ms; rated by the "
+              "21164 rows' instructions)\n",
+              "oracle", Ips(TotalOracleNs) / 1e6,
+              static_cast<double>(TotalOracleNs) / 1e6);
   double Speedup = TotalNs[3] == 0 ? 0.0
                                    : static_cast<double>(TotalRefNs) /
                                          static_cast<double>(TotalNs[3]);
@@ -249,7 +277,8 @@ int main(int argc, char **argv) {
       J << "    {\"name\": \"" << R.Name << "\", \"instrs\": " << R.Instrs;
       for (size_t MI = 0; MI != Models.size(); ++MI)
         J << ", \"" << Models[MI].Tag << "_ns\": " << R.Ns[MI];
-      J << ", \"ref_21164_ns\": " << R.RefNs << "}"
+      J << ", \"ref_21164_ns\": " << R.RefNs
+        << ", \"oracle_ns\": " << R.OracleNs << "}"
         << (WI + 1 == Rows.size() ? "\n" : ",\n");
     }
     J << "  ],\n  \"thread_scaling\": [";
@@ -257,6 +286,9 @@ int main(int argc, char **argv) {
       J << (I ? ", " : "") << "{\"threads\": " << Scaling[I].Threads
         << ", \"wall_ns\": " << Scaling[I].WallNs << "}";
     J << "],\n";
+    J << "  \"oracle\": {\"total_ns\": " << TotalOracleNs
+      << ", \"instrs_per_sec\": " << fmtDouble(Ips(TotalOracleNs), 1)
+      << "},\n";
     J << "  \"summary\": {\"total_instrs\": " << TotalInstrs << ", "
       << "\"instrs_per_sec\": " << fmtDouble(Ips(TotalNs[3]), 1) << ", "
       << "\"fast_vs_reference_speedup\": " << fmtDouble(Speedup, 3)
@@ -269,7 +301,7 @@ int main(int argc, char **argv) {
   if (!BaselinePath.empty()) {
     bool Failed = false;
     for (const auto &[Tag, MinIps] : readBaseline(BaselinePath)) {
-      const uint64_t *Found = nullptr;
+      const uint64_t *Found = Tag == "oracle" ? &TotalOracleNs : nullptr;
       for (size_t MI = 0; MI != Models.size(); ++MI)
         if (Tag == Models[MI].Tag)
           Found = &TotalNs[MI];
@@ -288,7 +320,8 @@ int main(int argc, char **argv) {
     }
     if (Failed) {
       std::fprintf(stderr,
-                   "FAIL: simulator throughput regressed >25%% vs baseline\n");
+                   "FAIL: simulator or oracle throughput regressed >25%% "
+                   "vs baseline\n");
       return 1;
     }
   }

@@ -169,6 +169,24 @@ const VarDecl *Program::findVar(const std::string &N) const {
   return nullptr;
 }
 
+std::string lang::checkArraySizes(const Program &P) {
+  int64_t Total = 0;
+  for (const ArrayDecl &A : P.Arrays) {
+    int64_t N = 1;
+    for (int64_t D : A.Dims) {
+      if (D < 0)
+        return "array '" + A.Name + "' has a negative dimension";
+      if (__builtin_mul_overflow(N, D, &N))
+        return "array '" + A.Name + "' has too many elements to index";
+    }
+    if (N > MaxProgramCells - Total)
+      return "array '" + A.Name + "' takes the program's arrays past " +
+             std::to_string(MaxProgramCells) + " elements";
+    Total += N;
+  }
+  return "";
+}
+
 //===----------------------------------------------------------------------===//
 // Variable substitution
 //===----------------------------------------------------------------------===//

@@ -178,6 +178,17 @@ struct Program {
   const VarDecl *findVar(const std::string &N) const;
 };
 
+/// Most cells all of a program's arrays may hold together. The checker
+/// rejects larger programs, so element counts and flattened subscripts stay
+/// far from int64_t overflow. The largest built-in source, Table 2's 8 MB
+/// latency probe, holds 2^20 cells.
+constexpr int64_t MaxProgramCells = int64_t(1) << 24;
+
+/// Returns a diagnostic naming the first array that has a negative
+/// dimension, whose element count overflows int64_t, or that takes the
+/// program past MaxProgramCells; an empty string if every array fits.
+std::string checkArraySizes(const Program &P);
+
 //===----------------------------------------------------------------------===//
 // Utilities
 //===----------------------------------------------------------------------===//

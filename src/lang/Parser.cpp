@@ -500,6 +500,8 @@ public:
       for (size_t J = I + 1; J != P.Arrays.size(); ++J)
         if (P.Arrays[I].Name == P.Arrays[J].Name)
           return "duplicate array '" + P.Arrays[I].Name + "'";
+    if (std::string E = checkArraySizes(P); !E.empty())
+      return E;
     for (const VarDecl &V : P.Vars) {
       if (P.findArray(V.Name))
         return "'" + V.Name + "' declared as both array and var";
