@@ -16,10 +16,13 @@
 #include "support/Table.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -120,6 +123,19 @@ template <typename FnT> uint64_t bestOf(int Reps, FnT Fn) {
     Best = std::min(Best, nowNs() - T0);
   }
   return Best;
+}
+
+/// Reads all of \p Text as a positive number into \p Out; false, with
+/// \p Out unchanged, for junk, trailing characters, zero or a negative
+/// value, so a tracker's numeric flag never reads a typo as 0.
+template <typename T> bool parsePositive(const char *Text, T &Out) {
+  const char *End = Text + std::strlen(Text);
+  T V{};
+  auto [Ptr, Err] = std::from_chars(Text, End, V);
+  if (Err != std::errc() || Ptr != End || !(V > 0))
+    return false;
+  Out = V;
+  return true;
 }
 
 // The BENCH_*.json helpers of the trackers and bsched-suite (defined in

@@ -1,11 +1,21 @@
 //===- bench/bench_compile_throughput.cpp - Compile-throughput tracker ------===//
 //
-// Times the hot compilation path end to end and per phase, for every
-// workload at unroll {1,4,8} with and without trace scheduling, against both
-// the optimized scheduler core and the preserved reference implementation
-// (sched::SchedImpl::Reference). Emits machine-readable BENCH_compile.json
-// so the compile-throughput trajectory is tracked across PRs, and optionally
-// gates against a checked-in baseline (exit 1 on a >25% regression).
+// Times the compile pipeline for every workload at unroll {1,4,8} with and
+// without trace scheduling, against both the optimized passes and the
+// preserved reference implementation (sched::SchedImpl::Reference), in IR
+// instructions compiled per second:
+//
+//  - warm: driver::compileProgram on a parsed program with the profile
+//    cache filled, best of N (the headline, which the CI floors gate);
+//  - cold from text: one driver::compileSource right after
+//    clearProfileCache(), so it also pays parsing and profiling. It runs
+//    under a PhaseRecorder (support/PhaseRecord.h): the per-phase breakdown
+//    is the pipeline's own record, printed with the share of wall time it
+//    covers, and its result gives the trace core's split
+//    (CompileResult::Trace) and the cleanup counters (CompileResult::Cleanup).
+//
+// Emits BENCH_compile.json so the trajectory is tracked across PRs, and
+// optionally gates against a checked-in baseline (exit 1 on a >25% drop).
 //
 // Also measures the batched compile service under sustained multi-tenant
 // load: a deterministic request mix of cache-hit traffic (served from the
@@ -25,14 +35,16 @@
 //                 request mix (the CI mode).
 //   --json PATH   where to write BENCH_compile.json (default: cwd).
 //   --baseline    baseline JSON with "min_instrs_per_sec" per config tag;
-//                 exit 1 if any measured throughput falls below 75% of it.
+//                 exit 1 if any warm throughput falls below 75% of it.
 //   --max-threads cap for the thread-scaling sweeps (default 8).
 //   --min-scale F thread-scaling regression gate: exit 1 unless sustained
 //                 throughput at --max-threads workers is at least F x the
-//                 1-worker throughput. F is the committed floor for an
-//                 8-hardware-thread machine and is derated automatically
-//                 when fewer hardware threads are available (a 1-core
-//                 runner cannot scale, only avoid regressing).
+//                 1-worker throughput (or if only one thread count ran).
+//                 F is the committed floor for an 8-hardware-thread
+//                 machine and is derated automatically when fewer hardware
+//                 threads are available (a 1-core runner cannot scale,
+//                 only avoid regressing).
+//   Both numbers must be positive; any other value exits 2.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,16 +54,14 @@
 #include "driver/Experiment.h"
 #include "driver/ProfileCache.h"
 #include "driver/Workloads.h"
-#include "lang/Parser.h"
-#include "lower/Lower.h"
-#include "opt/Cleanup.h"
+#include "support/PhaseRecord.h"
 #include "support/RNG.h"
 #include "support/Serialize.h"
 #include "support/Str.h"
 #include "support/ThreadPool.h"
-#include "xform/Unroll.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -107,198 +117,89 @@ uint64_t combineDigests(const std::vector<uint64_t> &Ds) {
   return H.get();
 }
 
-/// Per-phase timings over a workload's lowered (and unrolled) module:
-/// cleanup and the profiling interpreter at pipeline scope, the three
-/// scheduler phases over every schedulable block, and (for trace configs)
-/// the trace scheduler end to end with the fast core's formation /
-/// compaction / compensation split.
-struct PhaseTimes {
-  /// Front-end: lang::parseProgram and lang::checkProgram over the raw
-  /// kernel text (ROADMAP item 1: with these, the phase breakdown finally
-  /// sums to wall time). Implementation-independent — measured once per
-  /// workload/config, identical for the reference twin.
-  uint64_t ParseNs = 0, CheckNs = 0;
-  uint64_t CleanupNs = 0, ProfileNs = 0;
-  uint64_t DagNs = 0, WeightsNs = 0, ListNs = 0;
-  uint64_t TraceTotalNs = 0; ///< whole traceScheduleFunction call.
-  /// TraceStats phase split (fast core only; zero for the reference twin,
-  /// which reports just the total). WeightsIncrementalNs is the incremental
-  /// balanced-weights builder's share of TraceCompactNs.
-  uint64_t TraceFormNs = 0, TraceCompactNs = 0, TraceCompNs = 0;
-  uint64_t WeightsIncrementalNs = 0;
-  /// Cleanup fixpoint instrumentation (CleanupStats): rounds to fixpoint,
-  /// liveness solves split into full computes vs. incremental updates, and
-  /// per-block pass runs the dirty-block worklist skipped. The liveness and
-  /// skip counters stay zero for the reference twin.
-  int CleanupRounds = 0;
-  int CleanupLivenessFull = 0, CleanupLivenessIncremental = 0;
-  int CleanupBlocksSkipped = 0;
+double ratio(double Num, double Den) { return Den == 0.0 ? 0.0 : Num / Den; }
+
+/// \p R with \p Digits decimals and \p Unit, or \p Absent when it is 0: a
+/// ratio of 0 means the reference was not timed in this mode, and a fake
+/// 0.000 would read as a 1000x regression.
+std::string ratioOr(double R, int Digits, const char *Absent,
+                    const char *Unit = "") {
+  return R == 0.0 ? Absent : fmtDouble(R, Digits) + Unit;
+}
+
+/// One recorded compile from text, profile cache emptied first.
+struct ColdCompile {
+  uint64_t WallNs = 0; ///< 0 when not measured.
+  std::array<uint64_t, NumPhases> PhaseNs{};
+  unsigned Instrs = 0;
+  trace::TraceStats Trace;
+  opt::CleanupStats Cleanup;
 };
 
-/// Mirrors the pipeline up to (but excluding) scheduling, then times each
-/// phase with the given implementation (Reference selects the seed cleanup,
-/// interpreter, DAG builder, weights, and list scheduler).
-PhaseTimes timePhases(const Workload &W, const lang::Program &Source,
-                      int Unroll, bool Traces, int Reps,
-                      sched::SchedImpl Impl) {
-  PhaseTimes T;
-  // Front end, from the raw text. checkProgram annotates the AST in place,
-  // so each rep checks a fresh parse (the copy cost is the parse itself,
-  // timed separately above it).
-  T.ParseNs = bestOf(Reps, [&] {
-    lang::ParseResult PR = lang::parseProgram(W.Source, W.Name);
-    (void)PR;
-  });
-  lang::ParseResult Parsed = lang::parseProgram(W.Source, W.Name);
-  if (!Parsed.ok()) {
-    std::fprintf(stderr, "FATAL: parse %s: %s\n", W.Name, Parsed.Error.c_str());
+ColdCompile coldCompile(const Workload &W, const CompileOptions &Opts) {
+  clearProfileCache();
+  PhaseRecorder Rec;
+  uint64_t T0 = nowNs();
+  CompileResult R = compileSource(W.Source, W.Name, Opts);
+  ColdCompile C{nowNs() - T0, {}, countInstrs(R.M), R.Trace, R.Cleanup};
+  if (!R.ok()) {
+    std::fprintf(stderr, "FATAL: %s [%s]: %s\n", W.Name, Opts.tag().c_str(),
+                 R.Error.c_str());
     std::exit(1);
   }
-  T.CheckNs = bestOf(Reps, [&] {
-    lang::Program Copy = Parsed.Prog;
-    if (std::string E = lang::checkProgram(Copy); !E.empty()) {
-      std::fprintf(stderr, "FATAL: check %s: %s\n", W.Name, E.c_str());
-      std::exit(1);
-    }
-  });
+  for (unsigned I = 0; I != NumPhases; ++I)
+    C.PhaseNs[I] = Rec.ns(static_cast<Phase>(I));
+  return C;
+}
 
-  lang::Program P = Source;
-  if (Unroll > 1) {
-    xform::unrollLoops(P, Unroll);
-    // Re-check after the transform: lowering needs the checker's annotations
-    // on the statements unrolling introduced (compileProgram does the same).
-    if (std::string E = lang::checkProgram(P); !E.empty()) {
-      std::fprintf(stderr, "FATAL: recheck: %s\n", E.c_str());
-      std::exit(1);
-    }
-  }
-  lower::LowerResult LR = lower::lowerProgram(P, {});
-  if (!LR.ok()) {
-    std::fprintf(stderr, "FATAL: lower: %s\n", LR.Error.c_str());
-    std::exit(1);
-  }
-  bool Ref = Impl == sched::SchedImpl::Reference;
-
-  // Cleanup mutates the module, so each rep works on a fresh copy; the copy
-  // cost is common to both implementations.
-  opt::CleanupStats CS;
-  T.CleanupNs = bestOf(Reps, [&] {
-    ir::Module Copy = LR.M;
-    CS = opt::cleanupModule(Copy, Ref); // deterministic: same stats each rep
-  });
-  T.CleanupRounds = CS.Iterations;
-  T.CleanupLivenessFull = CS.LivenessFullComputes;
-  T.CleanupLivenessIncremental = CS.LivenessIncrementalUpdates;
-  T.CleanupBlocksSkipped = CS.BlocksSkipped;
-  opt::cleanupModule(LR.M);
-  if (Traces) {
-    T.ProfileNs = bestOf(Reps, [&] {
-      ir::InterpResult IR =
-          Ref ? ir::interpretByInstr(LR.M) : ir::interpret(LR.M);
-      (void)IR;
-    });
-    // Trace scheduling mutates the module, so each rep works on a fresh copy
-    // (the copy cost is common to both implementations). The fast core's
-    // TraceStats timers split the total into formation / compaction /
-    // compensation; the reference twin reports only the total.
-    ir::InterpResult Profile = ir::interpret(LR.M);
-    sched::BalanceOptions TOpts;
-    TOpts.Impl = Impl;
-    trace::TraceStats Last;
-    T.TraceTotalNs = bestOf(Reps, [&] {
-      ir::Module Copy = LR.M;
-      Last = trace::traceScheduleFunction(
-          Copy, Profile, sched::SchedulerKind::Balanced, TOpts,
-          Ref ? trace::TraceImpl::Reference : trace::TraceImpl::Fast);
-    });
-    T.TraceFormNs = Last.FormNs;
-    T.TraceCompactNs = Last.CompactNs;
-    T.TraceCompNs = Last.CompensationNs;
-    T.WeightsIncrementalNs = Last.WeightsNs;
-  }
-
-  std::vector<std::vector<const ir::Instr *>> Regions;
-  for (const ir::BasicBlock &B : LR.M.Fn.Blocks) {
-    if (B.Instrs.size() <= 2)
-      continue;
-    std::vector<const ir::Instr *> Ptrs;
-    Ptrs.reserve(B.Instrs.size());
-    for (const ir::Instr &I : B.Instrs)
-      Ptrs.push_back(&I);
-    Regions.push_back(std::move(Ptrs));
-  }
-
-  T.DagNs = bestOf(Reps, [&] {
-    for (const auto &R : Regions) {
-      sched::DepDAG G = sched::buildDepDAG(R, Impl);
-      (void)G;
-    }
-  });
-  // Weights and list scheduling run on the fast-built DAG either way: the
-  // two builders produce identical DAGs, and this isolates each phase.
-  std::vector<sched::DepDAG> Dags;
-  std::vector<std::vector<double>> Ws;
-  for (const auto &R : Regions) {
-    Dags.push_back(sched::buildDepDAG(R));
-    sched::addBlockControlEdges(Dags.back(), R);
-  }
-  sched::BalanceOptions BOpts;
-  BOpts.Impl = Impl;
-  T.WeightsNs = bestOf(Reps, [&] {
-    for (size_t I = 0; I != Regions.size(); ++I) {
-      std::vector<double> W = sched::balancedWeights(Dags[I], Regions[I], BOpts);
-      if (I >= Ws.size())
-        Ws.push_back(std::move(W));
-    }
-  });
-  T.ListNs = bestOf(Reps, [&] {
-    for (size_t I = 0; I != Regions.size(); ++I) {
-      std::vector<unsigned> Order = sched::listSchedule(
-          Dags[I], Ws[I], Regions[I], sched::DefaultPressureThreshold, Impl);
-      (void)Order;
-    }
-  });
-  return T;
+/// `{"lang.parse": NS, ...}` over every phase.
+std::string phasesJson(const ColdCompile &C) {
+  std::string S = "{";
+  for (unsigned I = 0; I != NumPhases; ++I)
+    S += std::string(I ? ", \"" : "\"") + phaseName(static_cast<Phase>(I)) +
+         "\": " + std::to_string(C.PhaseNs[I]);
+  return S + "}";
 }
 
 struct WorkloadRow {
   std::string Name;
-  unsigned Instrs = 0;
-  uint64_t FastNs = 0, RefNs = 0; ///< RefNs 0 when not measured.
-  PhaseTimes FastPhases, RefPhases;
+  uint64_t FastNs = 0, RefNs = 0; ///< warm; RefNs 0 when not measured.
+  ColdCompile Cold[2];            ///< [0] fast, [1] reference (if RefNs).
 };
 
 struct ConfigRow {
   BenchConfig Config;
   std::vector<WorkloadRow> Rows;
-  uint64_t totalFastNs() const {
-    uint64_t S = 0;
-    for (const auto &R : Rows)
-      S += R.FastNs;
+
+  /// \p Field summed over the workloads.
+  template <typename FieldT> double total(FieldT Field) const {
+    double S = 0;
+    for (const WorkloadRow &R : Rows)
+      S += static_cast<double>(Field(R));
     return S;
   }
-  uint64_t totalRefNs() const {
-    uint64_t S = 0;
-    for (const auto &R : Rows)
-      S += R.RefNs;
-    return S;
-  }
-  uint64_t totalInstrs() const {
-    uint64_t S = 0;
-    for (const auto &R : Rows)
-      S += R.Instrs;
-    return S;
-  }
-  double instrsPerSec() const {
-    uint64_t Ns = totalFastNs();
-    return Ns == 0 ? 0.0
-                   : static_cast<double>(totalInstrs()) * 1e9 /
-                         static_cast<double>(Ns);
+  double instrsPerSec(bool Cold = false) const {
+    return ratio(total([](auto &R) { return R.Cold[0].Instrs; }) * 1e9,
+                 total([&](auto &R) {
+                   return Cold ? R.Cold[0].WallNs : R.FastNs;
+                 }));
   }
   double speedup() const {
-    uint64_t F = totalFastNs(), R = totalRefNs();
-    return (F == 0 || R == 0) ? 0.0
-                              : static_cast<double>(R) / static_cast<double>(F);
+    return ratio(total([](auto &R) { return R.RefNs; }),
+                 total([](auto &R) { return R.FastNs; }));
+  }
+  /// Summed time of \p P in the fast (or reference) cold compiles.
+  double phaseNs(Phase P, bool Ref) const {
+    return total([&](auto &R) {
+      return R.Cold[Ref].PhaseNs[static_cast<unsigned>(P)];
+    });
+  }
+  /// The share of the cold compiles' wall time that their phases cover.
+  double coverage(bool Ref) const {
+    double Phases = 0;
+    for (unsigned I = 0; I != NumPhases; ++I)
+      Phases += phaseNs(static_cast<Phase>(I), Ref);
+    return ratio(Phases, total([&](auto &R) { return R.Cold[Ref].WallNs; }));
   }
 };
 
@@ -483,12 +384,14 @@ int main(int argc, char **argv) {
       JsonPath = argv[++I];
     else if (!std::strcmp(argv[I], "--baseline") && I + 1 != argc)
       BaselinePath = argv[++I];
-    else if (!std::strcmp(argv[I], "--max-threads") && I + 1 != argc)
-      MaxThreads = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (!std::strcmp(argv[I], "--min-scale") && I + 1 != argc)
-      MinScale = std::atof(argv[++I]);
+    else if (!std::strcmp(argv[I], "--max-threads") && I + 1 != argc &&
+             parsePositive(argv[I + 1], MaxThreads))
+      ++I;
+    else if (!std::strcmp(argv[I], "--min-scale") && I + 1 != argc &&
+             parsePositive(argv[I + 1], MinScale))
+      ++I;
     else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[I]);
+      std::fprintf(stderr, "unknown argument or bad value: %s\n", argv[I]);
       return 2;
     }
   }
@@ -520,8 +423,7 @@ int main(int argc, char **argv) {
 
   std::vector<ConfigRow> Results;
   for (const BenchConfig &C : Configs) {
-    ConfigRow Row;
-    Row.Config = C;
+    ConfigRow Row{C, {}};
     // Reference timings are the expensive part; in quick mode measure them
     // only where the headline speedup is reported (unroll 8).
     bool TimeRef = !Quick || C.Unroll == 8;
@@ -529,62 +431,46 @@ int main(int argc, char **argv) {
       lang::Program P = parseWorkload(W);
       WorkloadRow R;
       R.Name = W.Name;
-
+      // The cold compile leaves the profile cache filled for the warm ones.
       CompileOptions Fast = optionsFor(C, sched::SchedImpl::Fast);
-      CompileResult FirstCompile = compileProgram(P, Fast);
-      if (!FirstCompile.ok()) {
-        std::fprintf(stderr, "FATAL: %s [%s]: %s\n", W.Name,
-                     Fast.tag().c_str(), FirstCompile.Error.c_str());
-        return 1;
-      }
-      R.Instrs = countInstrs(FirstCompile.M);
-      R.FastNs = bestOf(Reps, [&] {
-        CompileResult CR = compileProgram(P, Fast);
-        (void)CR;
-      });
+      R.Cold[0] = coldCompile(W, Fast);
+      R.FastNs = bestOf(Reps, [&] { (void)compileProgram(P, Fast); });
       if (TimeRef) {
         CompileOptions Ref = optionsFor(C, sched::SchedImpl::Reference);
-        R.RefNs = bestOf(std::max(1, Reps - 1), [&] {
-          CompileResult CR = compileProgram(P, Ref);
-          (void)CR;
-        });
-        R.RefPhases = timePhases(W, P, C.Unroll, C.Traces, 1,
-                                 sched::SchedImpl::Reference);
+        R.RefNs = bestOf(std::max(1, Reps - 1),
+                         [&] { (void)compileProgram(P, Ref); });
+        R.Cold[1] = coldCompile(W, Ref);
       }
-      R.FastPhases =
-          timePhases(W, P, C.Unroll, C.Traces, Reps, sched::SchedImpl::Fast);
       Row.Rows.push_back(std::move(R));
     }
-    // A speedup of 0 means "reference not measured in this mode"; print and
-    // emit it as absent rather than as a fake 0.00x ratio.
-    if (Row.totalRefNs() != 0)
-      std::printf("  %-12s  %8.0f kinstr/s  end-to-end speedup %.2fx\n",
-                  C.Tag.c_str(), Row.instrsPerSec() / 1e3, Row.speedup());
-    else
-      std::printf("  %-12s  %8.0f kinstr/s  end-to-end speedup n/a "
-                  "(reference not timed)\n",
-                  C.Tag.c_str(), Row.instrsPerSec() / 1e3);
+    std::string Phases;
+    for (unsigned I = 0; I != NumPhases; ++I)
+      if (double Ns = Row.phaseNs(static_cast<Phase>(I), false))
+        Phases += std::string("  ") + phaseName(static_cast<Phase>(I)) + " " +
+                  fmtDouble(Ns / 1e6, 2);
+    std::printf("  %-12s  %8.0f kinstr/s warm  %8.0f cold from text  "
+                "end-to-end speedup %s\n"
+                "                cold phases (ms):%s\n"
+                "                phases cover %.1f%% of cold wall time "
+                "(reference %s)\n",
+                C.Tag.c_str(), Row.instrsPerSec() / 1e3,
+                Row.instrsPerSec(/*Cold=*/true) / 1e3,
+                ratioOr(Row.speedup(), 2, "n/a", "x").c_str(), Phases.c_str(),
+                100.0 * Row.coverage(false),
+                ratioOr(100.0 * Row.coverage(true), 1, "n/a", "%").c_str());
     if (C.Traces) {
-      uint64_t Form = 0, Compact = 0, Comp = 0, FastTr = 0, RefTr = 0;
-      for (const WorkloadRow &R : Row.Rows) {
-        Form += R.FastPhases.TraceFormNs;
-        Compact += R.FastPhases.TraceCompactNs;
-        Comp += R.FastPhases.TraceCompNs;
-        FastTr += R.FastPhases.TraceTotalNs;
-        RefTr += R.RefPhases.TraceTotalNs;
-      }
-      std::string CoreSpeedup;
-      if (FastTr && RefTr)
-        CoreSpeedup = "  (trace core " +
-                      fmtDouble(static_cast<double>(RefTr) /
-                                    static_cast<double>(FastTr),
-                                2) +
-                      "x)";
+      auto Ms = [&](uint64_t trace::TraceStats::*Field) {
+        return Row.total([&](auto &R) { return R.Cold[0].Trace.*Field; }) / 1e6;
+      };
       std::printf("                trace form %.2f ms  compact %.2f ms  "
-                  "compensation %.2f ms%s\n",
-                  static_cast<double>(Form) / 1e6,
-                  static_cast<double>(Compact) / 1e6,
-                  static_cast<double>(Comp) / 1e6, CoreSpeedup.c_str());
+                  "compensation %.2f ms  (trace core %s)\n",
+                  Ms(&trace::TraceStats::FormNs),
+                  Ms(&trace::TraceStats::CompactNs),
+                  Ms(&trace::TraceStats::CompensationNs),
+                  ratioOr(ratio(Row.phaseNs(Phase::TraceSched, true),
+                                Row.phaseNs(Phase::TraceSched, false)),
+                          2, "n/a", "x")
+                      .c_str());
     }
     Results.push_back(std::move(Row));
   }
@@ -606,9 +492,11 @@ int main(int argc, char **argv) {
     for (const BenchConfig &C : Configs)
       for (const Workload &W : workloads())
         Jobs.push_back({parseWorkload(W), optionsFor(C, sched::SchedImpl::Fast)});
-    // The profile cache stays warm from the per-config phase above (as it
-    // is for every point of this sweep, so thread counts see equal work);
-    // cold-profile traffic is measured separately by the sustained mode.
+    // The cold compiles above emptied the profile cache; refill it untimed
+    // so every point of this sweep sees the same, warm work. Cold-profile
+    // traffic is measured separately by the sustained mode.
+    for (const Job &J : Jobs)
+      (void)compileProgram(J.P, J.Opts);
     std::vector<uint64_t> Digests(Jobs.size());
     uint64_t BaseDigest = 0;
     for (unsigned T = 1; T <= MaxThreads; T *= 2) {
@@ -654,88 +542,71 @@ int main(int argc, char **argv) {
                   Sustained.ProfileCache.InFlightWaits));
 
   // --- Summary --------------------------------------------------------------
+  // The scheduler-phase speedup compares the reference and fast records'
+  // scheduling phases (trace.schedule and sched.schedule) at the headline.
   const ConfigRow *Headline = nullptr;
   for (const ConfigRow &R : Results)
     if (R.Config.Tag == "BS+LU8+TrS")
       Headline = &R;
   double SchedSpeedup = 0.0;
   if (Headline) {
-    uint64_t FastSched = 0, RefSched = 0;
-    for (const WorkloadRow &R : Headline->Rows) {
-      FastSched += R.FastPhases.DagNs + R.FastPhases.WeightsNs +
-                   R.FastPhases.ListNs;
-      RefSched +=
-          R.RefPhases.DagNs + R.RefPhases.WeightsNs + R.RefPhases.ListNs;
-    }
-    if (FastSched != 0 && RefSched != 0)
-      SchedSpeedup =
-          static_cast<double>(RefSched) / static_cast<double>(FastSched);
-    // Like the per-config rows: a ratio of 0 means "reference not timed in
-    // this mode" — print n/a instead of a fake 0.00x (the JSON already
-    // emits null for it).
-    std::printf("summary: BS+LU8+TrS %.0f kinstr/s, end-to-end ",
-                Headline->instrsPerSec() / 1e3);
-    if (Headline->totalRefNs() != 0)
-      std::printf("%.2fx, ", Headline->speedup());
-    else
-      std::printf("n/a, ");
-    if (SchedSpeedup != 0.0)
-      std::printf("scheduler phases %.2fx\n", SchedSpeedup);
-    else
-      std::printf("scheduler phases n/a\n");
+    auto SchedNs = [&](bool Ref) {
+      return Headline->phaseNs(Phase::TraceSched, Ref) +
+             Headline->phaseNs(Phase::Sched, Ref);
+    };
+    SchedSpeedup = ratio(SchedNs(true), SchedNs(false));
+    std::printf("summary: BS+LU8+TrS %.0f kinstr/s warm, %.0f cold from "
+                "text, end-to-end %s, scheduler phases %s\n",
+                Headline->instrsPerSec() / 1e3,
+                Headline->instrsPerSec(/*Cold=*/true) / 1e3,
+                ratioOr(Headline->speedup(), 2, "n/a", "x").c_str(),
+                ratioOr(SchedSpeedup, 2, "n/a", "x").c_str());
   }
 
   // --- JSON -----------------------------------------------------------------
   {
     std::ostringstream J;
-    J << benchJsonHead("bsched-compile-throughput-v3", MaxThreads);
+    J << benchJsonHead("bsched-compile-throughput-v4", MaxThreads);
     J << "  \"quick\": " << (Quick ? "true" : "false") << ",\n";
     J << "  \"configs\": [\n";
     for (size_t CI = 0; CI != Results.size(); ++CI) {
       const ConfigRow &R = Results[CI];
-      // end_to_end_speedup is null (not 0.000) when the reference twin was
-      // not timed in this mode: a fake ratio reads as a 1000x regression.
-      std::string Speedup =
-          R.totalRefNs() == 0 ? "null" : fmtDouble(R.speedup(), 3);
       J << "    {\"tag\": \"" << jsonEscape(R.Config.Tag) << "\", "
         << "\"unroll\": " << R.Config.Unroll << ", "
         << "\"traces\": " << (R.Config.Traces ? "true" : "false") << ",\n"
-        << "     \"total_instrs\": " << R.totalInstrs() << ", "
-        << "\"total_compile_ns\": " << R.totalFastNs() << ", "
+        << "     \"total_instrs\": "
+        << fmtDouble(R.total([](auto &W) { return W.Cold[0].Instrs; }), 0)
+        << ", \"total_compile_ns\": "
+        << fmtDouble(R.total([](auto &W) { return W.FastNs; }), 0) << ", "
         << "\"instrs_per_sec\": " << fmtDouble(R.instrsPerSec(), 1) << ", "
-        << "\"end_to_end_speedup\": " << Speedup << ",\n"
-        << "     \"workloads\": [\n";
+        << "\"end_to_end_speedup\": " << ratioOr(R.speedup(), 3, "null")
+        << ",\n     \"cold_instrs_per_sec\": "
+        << fmtDouble(R.instrsPerSec(/*Cold=*/true), 1)
+        << ", \"phase_coverage\": " << ratioOr(R.coverage(false), 3, "null")
+        << ", \"ref_phase_coverage\": "
+        << ratioOr(R.coverage(true), 3, "null")
+        << ",\n     \"workloads\": [\n";
       for (size_t WI = 0; WI != R.Rows.size(); ++WI) {
         const WorkloadRow &W = R.Rows[WI];
-        J << "      {\"name\": \"" << W.Name << "\", \"instrs\": " << W.Instrs
+        const trace::TraceStats &T = W.Cold[0].Trace;
+        const opt::CleanupStats &CS = W.Cold[0].Cleanup;
+        J << "      {\"name\": \"" << W.Name << "\", \"instrs\": "
+          << W.Cold[0].Instrs
           << ", \"compile_ns\": " << W.FastNs
           << ", \"ref_compile_ns\": " << W.RefNs
-          << ", \"phases\": {\"parse_ns\": " << W.FastPhases.ParseNs
-          << ", \"check_ns\": " << W.FastPhases.CheckNs
-          << ", \"cleanup_ns\": " << W.FastPhases.CleanupNs
-          << ", \"profile_ns\": " << W.FastPhases.ProfileNs
-          << ", \"dag_ns\": " << W.FastPhases.DagNs
-          << ", \"weights_ns\": " << W.FastPhases.WeightsNs
-          << ", \"listsched_ns\": " << W.FastPhases.ListNs
-          << ", \"trace_total_ns\": " << W.FastPhases.TraceTotalNs
-          << ", \"trace_form_ns\": " << W.FastPhases.TraceFormNs
-          << ", \"trace_compact_ns\": " << W.FastPhases.TraceCompactNs
-          << ", \"trace_compensation_ns\": " << W.FastPhases.TraceCompNs
-          << ", \"weights_incremental_ns\": "
-          << W.FastPhases.WeightsIncrementalNs
-          << ", \"cleanup_rounds\": " << W.FastPhases.CleanupRounds
-          << ", \"cleanup_liveness_full_computes\": "
-          << W.FastPhases.CleanupLivenessFull
-          << ", \"cleanup_liveness_incremental_updates\": "
-          << W.FastPhases.CleanupLivenessIncremental
-          << ", \"cleanup_blocks_skipped\": "
-          << W.FastPhases.CleanupBlocksSkipped
-          << ", \"ref_cleanup_ns\": " << W.RefPhases.CleanupNs
-          << ", \"ref_profile_ns\": " << W.RefPhases.ProfileNs
-          << ", \"ref_dag_ns\": " << W.RefPhases.DagNs
-          << ", \"ref_weights_ns\": " << W.RefPhases.WeightsNs
-          << ", \"ref_listsched_ns\": " << W.RefPhases.ListNs
-          << ", \"ref_trace_total_ns\": " << W.RefPhases.TraceTotalNs << "}}"
+          << ", \"cold_compile_ns\": " << W.Cold[0].WallNs
+          << ", \"ref_cold_compile_ns\": " << W.Cold[1].WallNs
+          << ",\n       \"phases\": " << phasesJson(W.Cold[0])
+          << ",\n       \"ref_phases\": " << phasesJson(W.Cold[1])
+          << ",\n       \"trace\": {\"form_ns\": " << T.FormNs
+          << ", \"compact_ns\": " << T.CompactNs
+          << ", \"compensation_ns\": " << T.CompensationNs
+          << ", \"weights_incremental_ns\": " << T.WeightsNs
+          << "}, \"cleanup\": {\"rounds\": " << CS.Iterations
+          << ", \"liveness_full_computes\": " << CS.LivenessFullComputes
+          << ", \"liveness_incremental_updates\": "
+          << CS.LivenessIncrementalUpdates
+          << ", \"blocks_skipped\": " << CS.BlocksSkipped << "}}"
           << (WI + 1 == R.Rows.size() ? "\n" : ",\n");
       }
       J << "     ]}" << (CI + 1 == Results.size() ? "\n" : ",\n");
@@ -775,14 +646,11 @@ int main(int argc, char **argv) {
     J << "  \"summary\": {\"headline\": \"BS+LU8+TrS\", "
       << "\"instrs_per_sec\": "
       << fmtDouble(Headline ? Headline->instrsPerSec() : 0.0, 1) << ", "
+      << "\"cold_instrs_per_sec\": "
+      << fmtDouble(Headline ? Headline->instrsPerSec(true) : 0.0, 1) << ", "
       << "\"end_to_end_speedup\": "
-      << (Headline && Headline->totalRefNs() != 0
-              ? fmtDouble(Headline->speedup(), 3)
-              : std::string("null"))
-      << ", "
-      << "\"scheduler_phase_speedup\": "
-      << (SchedSpeedup != 0.0 ? fmtDouble(SchedSpeedup, 3)
-                              : std::string("null"))
+      << ratioOr(Headline ? Headline->speedup() : 0.0, 3, "null") << ", "
+      << "\"scheduler_phase_speedup\": " << ratioOr(SchedSpeedup, 3, "null")
       << "}\n}\n";
     if (!writeBenchJson(JsonPath, J.str()))
       return 1;
@@ -833,8 +701,15 @@ int main(int argc, char **argv) {
   // 8-hardware-thread machine; with fewer cores perfect scaling is capped
   // at the core count, so derate the floor to 0.6x the available cores —
   // and on a single-core machine just require that extra workers do not
-  // regress the 1-worker wall time by more than ~30%.
-  if (MinScale > 0.0 && Sustained.Points.size() >= 2) {
+  // regress the 1-worker wall time by more than ~30%. A sweep of one
+  // thread count has nothing to compare, so the gate fails rather than
+  // pass unchecked.
+  if (MinScale > 0.0) {
+    if (Sustained.Points.size() < 2) {
+      std::fprintf(stderr, "FAIL: --min-scale needs at least two thread "
+                           "counts (--max-threads 2 or more)\n");
+      return 1;
+    }
     unsigned HW = std::max(1u, std::thread::hardware_concurrency());
     double Floor = MinScale;
     if (HW < 8)

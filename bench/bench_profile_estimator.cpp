@@ -32,14 +32,9 @@
 #include "driver/Experiment.h"
 #include "driver/Workloads.h"
 #include "ir/Interp.h"
-#include "lang/Parser.h"
-#include "locality/Locality.h"
-#include "lower/Lower.h"
-#include "opt/Cleanup.h"
 #include "support/Serialize.h"
 #include "support/Str.h"
 #include "trace/EstimateProfile.h"
-#include "xform/Unroll.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -54,34 +49,16 @@ using namespace bsched::driver;
 
 namespace {
 
-/// Rebuilds the module the trace scheduler profiles under \p Opts: the same
-/// locality / unroll / lower / cleanup front half the pipeline runs before
-/// it consults a profile.
+/// The module the trace scheduler profiles under \p Opts: the pipeline's
+/// own front half (driver::compileFrontEnd).
 ir::Module profiledModule(const lang::Program &P, const CompileOptions &Opts) {
-  lang::Program Copy = P;
-  if (Opts.LocalityAnalysis) {
-    locality::LocalityOptions LOpts;
-    LOpts.UnrollFactor = Opts.UnrollFactor > 1 ? Opts.UnrollFactor : 0;
-    locality::applyLocality(Copy, LOpts);
-  }
-  if (Opts.UnrollFactor > 1)
-    xform::unrollLoops(Copy, Opts.UnrollFactor);
-  if (Opts.LocalityAnalysis || Opts.UnrollFactor > 1) {
-    if (std::string E = lang::checkProgram(Copy); !E.empty()) {
-      std::fprintf(stderr, "FATAL: recheck [%s]: %s\n", Opts.tag().c_str(),
-                   E.c_str());
-      std::exit(1);
-    }
-  }
-  lower::LowerResult LR = lower::lowerProgram(Copy, Opts.Lower);
-  if (!LR.ok()) {
-    std::fprintf(stderr, "FATAL: lower [%s]: %s\n", Opts.tag().c_str(),
-                 LR.Error.c_str());
+  CompileResult C = compileFrontEnd(P, Opts);
+  if (!C.ok()) {
+    std::fprintf(stderr, "FATAL: front end [%s]: %s\n", Opts.tag().c_str(),
+                 C.Error.c_str());
     std::exit(1);
   }
-  if (Opts.CleanupIR)
-    opt::cleanupModule(LR.M);
-  return std::move(LR.M);
+  return std::move(C.M);
 }
 
 /// Hash of the pre-regalloc schedule \p Opts (with the given profile source)

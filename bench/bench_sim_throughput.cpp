@@ -28,12 +28,14 @@
 //   --baseline    baseline JSON with "min_instrs_per_sec" per model tag
 //                 (or "oracle"); exit 1 if any measured throughput falls
 //                 below 75% of it.
-//   --max-threads cap for the thread-scaling sweep (default 8).
+//   --max-threads cap for the thread-scaling sweep (default 8; a positive
+//                 integer, anything else exits 2).
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "driver/Compiler.h"
+#include "driver/JobFields.h"
 #include "driver/Workloads.h"
 #include "lang/Eval.h"
 #include "lang/Parser.h"
@@ -104,10 +106,11 @@ int main(int argc, char **argv) {
       JsonPath = argv[++I];
     else if (!std::strcmp(argv[I], "--baseline") && I + 1 != argc)
       BaselinePath = argv[++I];
-    else if (!std::strcmp(argv[I], "--max-threads") && I + 1 != argc)
-      MaxThreads = static_cast<unsigned>(std::atoi(argv[++I]));
+    else if (!std::strcmp(argv[I], "--max-threads") && I + 1 != argc &&
+             parsePositive(argv[I + 1], MaxThreads))
+      ++I;
     else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[I]);
+      std::fprintf(stderr, "unknown argument or bad value: %s\n", argv[I]);
       return 2;
     }
   }
@@ -164,18 +167,17 @@ int main(int argc, char **argv) {
         R.Instrs = First.Counts.total();
         SimChecksum = First.Checksum;
         // The twin contract, re-checked where the numbers are produced: the
-        // reference core must agree on the statistics this bench reports.
+        // reference core must agree on every SimResult field.
         sim::MachineConfig RC = Models[MI].C;
         RC.Impl = sim::SimImpl::Reference;
         uint64_t T0 = nowNs();
         sim::SimResult Ref = sim::simulate(M, RC, Models[MI].MaxCycles);
         R.RefNs = nowNs() - T0;
-        if (Ref.Checksum != First.Checksum || Ref.Cycles != First.Cycles ||
-            Ref.Counts.total() != First.Counts.total() ||
-            Ref.LoadInterlockCycles != First.LoadInterlockCycles) {
+        if (std::string D = firstDifference(First, Ref, "fast", "ref");
+            !D.empty()) {
           std::fprintf(stderr,
-                       "FATAL: %s: fast and reference cores disagree\n",
-                       R.Name.c_str());
+                       "FATAL: %s: fast and reference cores disagree: %s\n",
+                       R.Name.c_str(), D.c_str());
           return 1;
         }
       }

@@ -6,6 +6,7 @@
 #include "ir/Interp.h"
 #include "trace/EstimateProfile.h"
 #include "lang/Parser.h"
+#include "support/PhaseRecord.h"
 
 #include <optional>
 
@@ -27,57 +28,82 @@ std::string CompileOptions::tag() const {
   return S;
 }
 
-CompileResult driver::compileProgram(const lang::Program &Source,
-                                     const CompileOptions &Opts) {
+CompileResult driver::compileFrontEnd(const lang::Program &Source,
+                                      const CompileOptions &Opts) {
   CompileResult R;
-  lang::Program P = Source; // Deep copy; transforms run on our own AST.
-
-  if (std::string E = lang::checkProgram(P); !E.empty()) {
-    R.Error = "check: " + E;
-    return R;
+  lang::Program P;
+  {
+    PhaseScope S(Phase::Parse);
+    P = Source; // Deep copy; transforms run on our own AST.
+    if (std::string E = lang::checkProgram(P); !E.empty()) {
+      R.Error = "check: " + E;
+      return R;
+    }
   }
 
   // Phase 2: locality analysis first — it claims (and tags) the loops whose
   // reuse it exploits; plain unrolling then covers the rest.
   if (Opts.LocalityAnalysis) {
+    PhaseScope S(Phase::Locality);
     locality::LocalityOptions LOpts;
     LOpts.UnrollFactor = Opts.UnrollFactor > 1 ? Opts.UnrollFactor : 0;
     R.Locality = locality::applyLocality(P, LOpts);
   }
   if (Opts.UnrollFactor > 1)
-    R.Unroll = xform::unrollLoops(P, Opts.UnrollFactor);
+    R.Unroll = inPhase(Phase::Unroll, [&] {
+      return xform::unrollLoops(P, Opts.UnrollFactor);
+    });
   if (Opts.LocalityAnalysis || Opts.UnrollFactor > 1) {
+    PhaseScope S(Phase::Parse);
     if (std::string E = lang::checkProgram(P); !E.empty()) {
       R.Error = "recheck after transforms: " + E;
       return R;
     }
   }
 
-  lower::LowerResult LR = lower::lowerProgram(P, Opts.Lower);
+  lower::LowerResult LR =
+      inPhase(Phase::Lower, [&] { return lower::lowerProgram(P, Opts.Lower); });
   if (!LR.ok()) {
     R.Error = "lower: " + LR.Error;
     return R;
   }
   R.M = std::move(LR.M);
 
+  if (Opts.CleanupIR) {
+    R.Cleanup = inPhase(Phase::Cleanup, [&] {
+      return opt::cleanupModule(R.M, Opts.Balance.Impl ==
+                                         sched::SchedImpl::Reference);
+    });
+    PhaseScope S(Phase::Verify);
+    if (std::string E = ir::verify(R.M); !E.empty())
+      R.Error = "cleanup broke the IR: " + E;
+  }
+  // Freeing the AST copy is front-end work too.
+  inPhase(Phase::Parse, [&] { P = lang::Program(); });
+  return R;
+}
+
+CompileResult driver::compileProgram(const lang::Program &Source,
+                                     const CompileOptions &Opts) {
+  CompileResult R = compileFrontEnd(Source, Opts);
+  if (!R.ok())
+    return R;
+
   // Impl==Reference selects the pre-overhaul (seed) implementation of every
-  // phase that has one — cleanup and the profiling interpreter here, DAG
-  // build and scheduling below — so end-to-end timings of Reference vs Fast
-  // compare the whole old pipeline against the whole new one. Output is
-  // byte-identical either way (pinned by the golden-schedule tests).
+  // phase that has one — cleanup (in compileFrontEnd) and the profiling
+  // interpreter here, DAG build and scheduling below — so end-to-end timings
+  // of Reference vs Fast compare the whole old pipeline against the whole
+  // new one. Output is byte-identical either way (pinned by the
+  // golden-schedule tests).
   bool Ref = Opts.Balance.Impl == sched::SchedImpl::Reference;
 
-  if (Opts.CleanupIR) {
-    R.Cleanup = opt::cleanupModule(R.M, Ref);
-    if (std::string E = ir::verify(R.M); !E.empty()) {
-      R.Error = "cleanup broke the IR: " + E;
-      return R;
-    }
-  }
-
-  // Hands the verifier's findings back through the result; the first
-  // diagnostic doubles as the hard error so no caller can ignore it.
-  auto Flag = [&R](verify::VerifyResult V, const char *Pass) {
+  // Runs a verifier pass when VerifyPasses is on and hands its findings back
+  // through the result; the first diagnostic doubles as the hard error so no
+  // caller can ignore it.
+  auto Flag = [&](const char *Pass, auto Verify) {
+    if (!Opts.VerifyPasses)
+      return false;
+    verify::VerifyResult V = inPhase(Phase::Verify, Verify);
     if (V.ok())
       return false;
     R.Error = std::string(Pass) + " verifier: " + toString(V.Diags.front()) +
@@ -100,7 +126,7 @@ CompileResult driver::compileProgram(const lang::Program &Source,
     ExactScope.emplace();
   ir::Module PreSched;
   if (Opts.VerifyPasses)
-    PreSched = R.M;
+    PreSched = inPhase(Phase::Verify, [&] { return R.M; });
   if (Opts.TraceScheduling) {
     // The fast pipeline memoizes the profiling run on the module's content
     // (driver/ProfileCache.h): sweeps recompile the same module under many
@@ -109,54 +135,61 @@ CompileResult driver::compileProgram(const lang::Program &Source,
     // distinct kinds (an estimate must never be served where an interpreted
     // profile was expected); the Reference pipeline bypasses the cache for
     // both and recomputes from scratch.
-    ir::InterpResult Profile =
-        Opts.UseEstimatedProfile
-            ? (Ref ? trace::estimateProfile(R.M.Fn)
-                   : estimatedProfileModule(R.M))
-            : (Ref ? ir::interpretByInstr(R.M) : profileModule(R.M));
+    ir::InterpResult Profile = inPhase(Phase::Profile, [&] {
+      return Opts.UseEstimatedProfile
+                 ? (Ref ? trace::estimateProfile(R.M.Fn)
+                        : estimatedProfileModule(R.M))
+                 : (Ref ? ir::interpretByInstr(R.M) : profileModule(R.M));
+    });
     if (!Profile.Finished) {
       R.Error = Opts.UseEstimatedProfile
                     ? "profile estimate: some path never returns"
                     : "profiling run exceeded the instruction budget";
       return R;
     }
-    R.Trace = trace::traceScheduleFunction(
-        R.M, Profile, Opts.Scheduler, Opts.Balance,
-        Ref ? trace::TraceImpl::Reference : Opts.TraceImpl);
-    if (Opts.VerifyPasses &&
-        Flag(verify::verifyTraceSchedule(PreSched, R.M, R.Trace.Formed),
-             "trace-schedule"))
+    R.Trace = inPhase(Phase::TraceSched, [&] {
+      return trace::traceScheduleFunction(
+          R.M, Profile, Opts.Scheduler, Opts.Balance,
+          Ref ? trace::TraceImpl::Reference : Opts.TraceImpl);
+    });
+    if (Flag("trace-schedule", [&] {
+          return verify::verifyTraceSchedule(PreSched, R.M, R.Trace.Formed);
+        }))
       return R;
   } else {
-    sched::scheduleFunction(R.M, Opts.Scheduler, Opts.Balance);
-    if (Opts.VerifyPasses &&
-        Flag(verify::verifySchedule(PreSched, R.M), "schedule"))
+    inPhase(Phase::Sched, [&] {
+      sched::scheduleFunction(R.M, Opts.Scheduler, Opts.Balance);
+    });
+    if (Flag("schedule", [&] { return verify::verifySchedule(PreSched, R.M); }))
       return R;
   }
   if (ExactScope) {
     R.Exact = ExactScope->stats();
     ExactScope.reset();
   }
-  if (Opts.VerifyPasses && Flag(verify::verifyModule(R.M), "module"))
+  if (Flag("module", [&] { return verify::verifyModule(R.M); }))
     return R;
 
   if (!Opts.StopBeforeRegAlloc) {
     ir::Module PreAlloc;
     if (Opts.VerifyPasses)
-      PreAlloc = R.M;
-    R.RegAlloc = regalloc::allocateRegisters(R.M, Opts.RegAlloc, Ref);
+      PreAlloc = inPhase(Phase::Verify, [&] { return R.M; });
+    R.RegAlloc = inPhase(Phase::RegAlloc, [&] {
+      return regalloc::allocateRegisters(R.M, Opts.RegAlloc, Ref);
+    });
     if (!R.RegAlloc.ok()) {
       R.Error = "regalloc: " + R.RegAlloc.Error;
       return R;
     }
-    if (Opts.VerifyPasses &&
-        Flag(verify::verifyRegAlloc(PreAlloc, R.M,
-                                    Opts.RegAlloc.AllocatablePerClass),
-             "regalloc"))
+    if (Flag("regalloc", [&] {
+          return verify::verifyRegAlloc(PreAlloc, R.M,
+                                        Opts.RegAlloc.AllocatablePerClass);
+        }))
       return R;
   }
 
-  if (std::string E = ir::verify(R.M); !E.empty())
+  if (std::string E = inPhase(Phase::Verify, [&] { return ir::verify(R.M); });
+      !E.empty())
     R.Error = "verify: " + E;
   return R;
 }
@@ -164,11 +197,15 @@ CompileResult driver::compileProgram(const lang::Program &Source,
 CompileResult driver::compileSource(const std::string &Text,
                                     const std::string &Name,
                                     const CompileOptions &Opts) {
-  lang::ParseResult PR = lang::parseProgram(Text, Name);
+  lang::ParseResult PR =
+      inPhase(Phase::Parse, [&] { return lang::parseProgram(Text, Name); });
   if (!PR.ok()) {
     CompileResult R;
     R.Error = "parse: " + PR.Error;
     return R;
   }
-  return compileProgram(PR.Prog, Opts);
+  CompileResult R = compileProgram(PR.Prog, Opts);
+  // Freeing the parsed AST is front-end work too.
+  inPhase(Phase::Parse, [&] { PR.Prog = lang::Program(); });
+  return R;
 }

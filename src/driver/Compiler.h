@@ -83,8 +83,15 @@ struct CompileResult {
   bool ok() const { return Error.empty(); }
 };
 
-/// Compiles \p Source (already checked) under \p Opts. The input program is
-/// copied; transformations never mutate the caller's AST.
+/// The pipeline up to the scheduler: check, locality analysis, unrolling,
+/// recheck, lowering and cleanup (with its ir::verify). The result holds
+/// the module profiling would see, with the front-end statistics. The input
+/// program is copied; transformations never mutate the caller's AST.
+CompileResult compileFrontEnd(const lang::Program &Source,
+                              const CompileOptions &Opts);
+
+/// Compiles \p Source (already checked) under \p Opts: compileFrontEnd,
+/// then profiling, scheduling, verification and register allocation.
 CompileResult compileProgram(const lang::Program &Source,
                              const CompileOptions &Opts);
 

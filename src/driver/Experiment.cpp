@@ -6,6 +6,7 @@
 #include "driver/Artifacts.h"
 #include "driver/JobFields.h"
 #include "lang/Eval.h"
+#include "support/PhaseRecord.h"
 #include "support/Serialize.h"
 #include "support/ThreadPool.h"
 
@@ -20,8 +21,9 @@ RunResult driver::runWorkload(const Workload &W, const CompileOptions &Opts,
                               const sim::MachineConfig &Machine) {
   RunResult R;
 
-  lang::Program P = parseWorkload(W);
-  lang::EvalResult Ref = lang::evalProgram(P);
+  lang::Program P = inPhase(Phase::Parse, [&] { return parseWorkload(W); });
+  lang::EvalResult Ref =
+      inPhase(Phase::Eval, [&] { return lang::evalProgram(P); });
   if (!Ref.ok()) {
     R.Error = std::string(W.Name) + ": oracle: " + Ref.Error;
     return R;
@@ -37,7 +39,7 @@ RunResult driver::runWorkload(const Workload &W, const CompileOptions &Opts,
   R.Trace = C.Trace;
   R.RegAlloc = C.RegAlloc;
 
-  R.Sim = sim::simulate(C.M, Machine);
+  R.Sim = inPhase(Phase::Sim, [&] { return sim::simulate(C.M, Machine); });
   if (!R.Sim.ok()) {
     R.Error = std::string(W.Name) + " [" + Opts.tag() + "]: " + R.Sim.Error;
     return R;
@@ -108,7 +110,8 @@ const RunResult &driver::runCached(const Workload &W,
     // compute. Anything less degrades to runWorkload — a bad disk entry
     // can cost time, never correctness.
     std::string Blob;
-    if (loadArtifact(Key, Blob)) {
+    if (inPhase(Phase::StoreLoad, [&] { return loadArtifact(Key, Blob); })) {
+      PhaseScope S(Phase::Decode);
       ByteReader Rd(Blob);
       RunResult Loaded;
       if (decode(Rd, Loaded) && Rd.atEnd())

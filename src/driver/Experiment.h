@@ -70,6 +70,12 @@ std::string resultKey(const Workload &W, const CompileOptions &Opts,
 /// the disk tier: a verified on-disk artifact is decoded instead of
 /// recomputed, and a computed OK result is written back. Disk entries that
 /// fail any check degrade to recompute — identical results, just slower.
+///
+/// A PhaseRecorder (support/PhaseRecord.h) around one call shows which tier
+/// served it: a computed result records lang.eval, the compile phases and
+/// sim; a disk hit records driver.store_load and driver.decode but no
+/// lang.eval; a memory hit, or a wait on another thread computing the same
+/// key, records nothing.
 const RunResult &runCached(const Workload &W, const CompileOptions &Opts,
                            const sim::MachineConfig &Machine = {});
 

@@ -145,51 +145,38 @@ Failure gapOracle(const lang::Program &P, const driver::CompileOptions &Config,
   return {};
 }
 
-/// Estimated-profile leg for one configuration: rebuild the module exactly
-/// as compileProgram would hand it to the profiler (front-end transforms,
-/// lowering, cleanup), then hold the static estimate to its contract —
-/// flow-conserving in exact integer arithmetic, deterministic across runs,
-/// Finished (the fuzzer only generates terminating programs), and digestible
-/// by trace formation with every block covered exactly once.
+/// Estimated-profile leg for one configuration: take the module
+/// compileProgram hands to the profiler (driver::compileFrontEnd), then
+/// hold the static estimate to its contract — flow-conserving in exact
+/// integer arithmetic, deterministic across runs, Finished (the fuzzer only
+/// generates terminating programs), and digestible by trace formation with
+/// every block covered exactly once.
 Failure estProfileOracle(const lang::Program &P,
                          const driver::CompileOptions &Config,
                          const std::string &Tag, int Index) {
-  lang::Program Copy = P;
-  if (Config.LocalityAnalysis) {
-    locality::LocalityOptions LOpts;
-    LOpts.UnrollFactor = Config.UnrollFactor > 1 ? Config.UnrollFactor : 0;
-    locality::applyLocality(Copy, LOpts);
-  }
-  if (Config.UnrollFactor > 1)
-    xform::unrollLoops(Copy, Config.UnrollFactor);
-  if (Config.LocalityAnalysis || Config.UnrollFactor > 1)
-    if (std::string E = lang::checkProgram(Copy); !E.empty())
-      return fail(FailureKind::CompileError, Tag, Index, "",
-                  "est-leg recheck: " + E);
-  lower::LowerResult LR = lower::lowerProgram(Copy, Config.Lower);
-  if (!LR.ok())
+  driver::CompileResult FE = driver::compileFrontEnd(P, Config);
+  if (!FE.ok())
     return fail(FailureKind::CompileError, Tag, Index, "",
-                "est-leg lower: " + LR.Error);
-  if (Config.CleanupIR)
-    opt::cleanupModule(LR.M, false);
+                "est-leg " + FE.Error);
+  const ir::Function &Fn = FE.M.Fn;
 
-  ir::InterpResult Est = trace::estimateProfile(LR.M.Fn);
+  ir::InterpResult Est = trace::estimateProfile(Fn);
   if (!Est.Finished)
     return fail(FailureKind::EstProfileInvalid, Tag, Index, "",
                 "a terminating program was judged to never return");
-  if (std::string E = ir::checkProfileConservation(
-          LR.M.Fn, Est, trace::EstimateEntryCount);
+  if (std::string E =
+          ir::checkProfileConservation(Fn, Est, trace::EstimateEntryCount);
       !E.empty())
     return fail(FailureKind::EstProfileInvalid, Tag, Index, "",
                 "not flow-conserving: " + E);
-  ir::InterpResult Est2 = trace::estimateProfile(LR.M.Fn);
+  ir::InterpResult Est2 = trace::estimateProfile(Fn);
   if (Est2.Finished != Est.Finished ||
       Est2.BlockCounts != Est.BlockCounts ||
       Est2.EdgeCounts != Est.EdgeCounts)
     return fail(FailureKind::EstProfileInvalid, Tag, Index, "",
                 "estimate differs across two runs on the same module");
-  std::vector<trace::Trace> Traces = trace::formTraces(LR.M.Fn, Est);
-  std::vector<int> Covered(LR.M.Fn.Blocks.size(), 0);
+  std::vector<trace::Trace> Traces = trace::formTraces(Fn, Est);
+  std::vector<int> Covered(Fn.Blocks.size(), 0);
   for (const trace::Trace &T : Traces)
     for (int B : T) {
       if (B < 0 || static_cast<size_t>(B) >= Covered.size() ||

@@ -22,9 +22,7 @@
 #include "ir/Interp.h"
 #include "ir/Liveness.h"
 #include "lang/Parser.h"
-#include "lower/Lower.h"
 #include "opt/Cleanup.h"
-#include "xform/Unroll.h"
 
 #include <gtest/gtest.h>
 
@@ -100,18 +98,14 @@ std::vector<Module> mutationSubjects() {
       continue;
     lang::Program P = driver::parseWorkload(*W);
     for (int Unroll : {1, 4}) {
-      lang::Program Copy = P;
-      if (Unroll > 1) {
-        xform::unrollLoops(Copy, Unroll);
-        if (!lang::checkProgram(Copy).empty())
-          continue; // re-check after unrolling, as the driver does
-      }
       for (bool IfConv : {true, false}) {
-        lower::LowerOptions LO;
-        LO.IfConversion = IfConv;
-        lower::LowerResult LR = lower::lowerProgram(Copy, LO);
-        if (LR.ok())
-          Ms.push_back(std::move(LR.M));
+        driver::CompileOptions Opts;
+        Opts.UnrollFactor = Unroll;
+        Opts.CleanupIR = false;
+        Opts.Lower.IfConversion = IfConv;
+        driver::CompileResult FE = driver::compileFrontEnd(P, Opts);
+        if (FE.ok())
+          Ms.push_back(std::move(FE.M));
       }
     }
   }
@@ -238,21 +232,19 @@ TEST(CleanupTwins, WorkloadSweep) {
   for (const driver::Workload &W : driver::workloads()) {
     lang::Program P = driver::parseWorkload(W);
     for (int Unroll : {1, 8}) {
-      lang::Program Copy = P;
-      if (Unroll > 1) {
-        xform::unrollLoops(Copy, Unroll);
-        ASSERT_EQ(lang::checkProgram(Copy), "") << W.Name;
-      }
-      lower::LowerResult LR = lower::lowerProgram(Copy, {});
-      ASSERT_TRUE(LR.ok()) << W.Name << ": " << LR.Error;
+      driver::CompileOptions Opts;
+      Opts.UnrollFactor = Unroll;
+      Opts.CleanupIR = false;
+      driver::CompileResult FE = driver::compileFrontEnd(P, Opts);
+      ASSERT_TRUE(FE.ok()) << W.Name << ": " << FE.Error;
       std::string What =
           std::string(W.Name) + " LU" + std::to_string(Unroll);
 
-      InterpResult Before = interpret(LR.M);
+      InterpResult Before = interpret(FE.M);
       ASSERT_TRUE(Before.Finished) << What;
 
-      Module FastM = LR.M;
-      Module RefM = LR.M;
+      Module FastM = FE.M;
+      Module RefM = FE.M;
       opt::CleanupStats FS = opt::cleanupModule(FastM, false);
       opt::CleanupStats RS = opt::cleanupModule(RefM, true);
 

@@ -7,20 +7,25 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/ArtifactStore.h"
 #include "driver/Experiment.h"
 #include "driver/JobFields.h"
 #include "driver/ProfileCache.h"
 #include "driver/Workloads.h"
-#include "lower/Lower.h"
-#include "opt/Cleanup.h"
+#include "support/PhaseRecord.h"
 #include "support/ThreadPool.h"
 #include "trace/EstimateProfile.h"
 
 #include <gtest/gtest.h>
+#include <filesystem>
 #include <set>
 #include <string>
+#include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
+
+#include <stdlib.h>
 
 using namespace bsched;
 using namespace bsched::driver;
@@ -198,11 +203,9 @@ TEST(CompileService, ProfileCacheDedupesInFlight) {
   std::vector<ir::Module> Modules;
   const auto &Ws = workloads();
   for (size_t W = 0; W != 4; ++W) {
-    lang::Program P = parseWorkload(Ws[W]);
-    lower::LowerResult LR = lower::lowerProgram(P, {});
-    ASSERT_TRUE(LR.ok()) << LR.Error;
-    opt::cleanupModule(LR.M);
-    Modules.push_back(std::move(LR.M));
+    CompileResult FE = compileFrontEnd(parseWorkload(Ws[W]), {});
+    ASSERT_TRUE(FE.ok()) << FE.Error;
+    Modules.push_back(std::move(FE.M));
   }
 
   clearProfileCache();
@@ -234,11 +237,10 @@ TEST(CompileService, ProfileCacheDedupesInFlight) {
 // estimatedProfileModule from ever serving each other's results, in either
 // insertion order.
 TEST(CompileService, ProfileKindsNeverShareASlot) {
-  lang::Program P = parseWorkload(*findWorkload("hydro2d"));
-  lower::LowerResult LR = lower::lowerProgram(P, {});
-  ASSERT_TRUE(LR.ok()) << LR.Error;
-  opt::cleanupModule(LR.M);
-  const ir::Module &M = LR.M;
+  CompileResult FE =
+      compileFrontEnd(parseWorkload(*findWorkload("hydro2d")), {});
+  ASSERT_TRUE(FE.ok()) << FE.Error;
+  const ir::Module &M = FE.M;
 
   clearProfileCache();
   ir::InterpResult Interp = profileModule(M);
@@ -274,11 +276,9 @@ TEST(CompileService, ProfileKindsNeverShareASlot) {
 TEST(CompileService, ProfileCacheSurvivesEviction) {
   // Distinct modules via distinct instruction budgets on one module: the
   // budget is part of the key, so each MaxInstrs value is its own entry.
-  lang::Program P = parseWorkload(workloads().front());
-  lower::LowerResult LR = lower::lowerProgram(P, {});
-  ASSERT_TRUE(LR.ok()) << LR.Error;
-  opt::cleanupModule(LR.M);
-  const ir::Module &M = LR.M;
+  CompileResult FE = compileFrontEnd(parseWorkload(workloads().front()), {});
+  ASSERT_TRUE(FE.ok()) << FE.Error;
+  const ir::Module &M = FE.M;
 
   clearProfileCache();
   constexpr size_t Distinct = 600; // > total cache capacity (16 x 32).
@@ -294,4 +294,131 @@ TEST(CompileService, ProfileCacheSurvivesEviction) {
   uint64_t Expect = ir::interpret(M).Checksum;
   for (uint64_t C : Checksums)
     EXPECT_EQ(C, Expect);
+}
+
+//===----------------------------------------------------------------------===//
+// The phase record (support/PhaseRecord.h)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The phases \p Rec counted at least one call for.
+std::set<std::string> recordedPhases(const PhaseRecorder &Rec) {
+  std::set<std::string> Names;
+  for (unsigned I = 0; I != NumPhases; ++I)
+    if (Rec.calls(static_cast<Phase>(I)))
+      Names.insert(phaseName(static_cast<Phase>(I)));
+  return Names;
+}
+
+} // namespace
+
+// compileSource records every phase its configuration runs and no other:
+// list scheduling or trace scheduling with its profile, locality and
+// unrolling only when asked for, and never the job-level phases.
+TEST(PhaseRecord, CompileSourceRecordsTheConfiguredPhases) {
+  const Workload &W = *findWorkload("hydro2d");
+  const std::set<std::string> Always = {"lang.parse", "lower", "opt.cleanup",
+                                        "verify", "regalloc"};
+  CompileOptions BS;
+  CompileOptions Trace = BS;
+  Trace.LocalityAnalysis = true;
+  Trace.UnrollFactor = 4;
+  Trace.TraceScheduling = true;
+  CompileOptions Est = Trace;
+  Est.UseEstimatedProfile = true;
+  const std::set<std::string> TracePhases = {"locality", "xform.unroll",
+                                             "profile", "trace.schedule"};
+  const std::pair<CompileOptions, std::set<std::string>> Cases[] = {
+      {BS, {"sched.schedule"}}, {Trace, TracePhases}, {Est, TracePhases}};
+  for (const auto &[Opts, Extra] : Cases) {
+    PhaseRecorder Rec;
+    CompileResult R = compileSource(W.Source, W.Name, Opts);
+    ASSERT_TRUE(R.ok()) << Opts.tag() << ": " << R.Error;
+    std::set<std::string> Want = Always;
+    Want.insert(Extra.begin(), Extra.end());
+    EXPECT_EQ(recordedPhases(Rec), Want) << Opts.tag();
+  }
+}
+
+// Only work on the recorder's own thread while it lives is recorded, and
+// recording changes no result.
+TEST(PhaseRecord, RecordsOnlyItsThreadAndChangesNoResult) {
+  const Workload &W = *findWorkload("tomcatv");
+  CompileOptions Opts;
+  Opts.UnrollFactor = 4;
+  Opts.TraceScheduling = true;
+  PhaseRecorder Rec;
+  CompileResult Plain;
+  std::thread([&] { Plain = compileSource(W.Source, W.Name, Opts); }).join();
+  ASSERT_TRUE(Plain.ok()) << Plain.Error;
+  EXPECT_TRUE(recordedPhases(Rec).empty());
+  EXPECT_EQ(Rec.ns(Phase::Lower), 0u);
+
+  CompileResult Recorded = compileSource(W.Source, W.Name, Opts);
+  EXPECT_FALSE(recordedPhases(Rec).empty());
+  EXPECT_EQ(firstDifference(Plain, Recorded, "plain", "recorded"), "");
+}
+
+// A nested recorder collects alone while it lives and adds its totals to
+// the enclosing recorder when it dies; the enclosing one then collects
+// again.
+TEST(PhaseRecord, InnerTotalsAlsoLandInTheEnclosingRecorder) {
+  const Workload &W = *findWorkload("ora");
+  CompileOptions Opts;
+  PhaseRecorder Outer;
+  std::vector<uint64_t> Ns, Calls;
+  {
+    PhaseRecorder Inner;
+    ASSERT_TRUE(compileSource(W.Source, W.Name, Opts).ok());
+    EXPECT_TRUE(recordedPhases(Outer).empty());
+    for (unsigned I = 0; I != NumPhases; ++I) {
+      Ns.push_back(Inner.ns(static_cast<Phase>(I)));
+      Calls.push_back(Inner.calls(static_cast<Phase>(I)));
+    }
+  }
+  for (unsigned I = 0; I != NumPhases; ++I) {
+    EXPECT_EQ(Outer.ns(static_cast<Phase>(I)), Ns[I]) << I;
+    EXPECT_EQ(Outer.calls(static_cast<Phase>(I)), Calls[I]) << I;
+  }
+  ASSERT_TRUE(compileSource(W.Source, W.Name, Opts).ok());
+  EXPECT_EQ(Outer.calls(Phase::Lower),
+            2 * Calls[static_cast<unsigned>(Phase::Lower)]);
+}
+
+// One runCached call's record names the tier that served it (the rule
+// documented at runCached): a compute miss runs the oracle, the compiler
+// and the simulator; a disk hit only loads and decodes; a memory hit
+// records nothing.
+TEST(PhaseRecord, RunCachedRecordShowsTheServingTier) {
+  std::string Dir =
+      (std::filesystem::temp_directory_path() / "bsched-phase-XXXXXX")
+          .string();
+  ASSERT_NE(::mkdtemp(Dir.data()), nullptr);
+  setArtifactStoreDir(Dir);
+  clearResultCache();
+  const Workload &W = *findWorkload("swm256");
+  CompileOptions Opts;
+  Opts.Balance.PressureThreshold = 71; // a key no other test computes.
+
+  auto Serve = [&] {
+    PhaseRecorder Rec;
+    EXPECT_TRUE(runCached(W, Opts).ok());
+    return recordedPhases(Rec);
+  };
+  std::set<std::string> Compute = Serve();
+  clearResultCache();
+  std::set<std::string> Disk = Serve();
+  std::set<std::string> Memory = Serve();
+  setArtifactStoreDir("");
+  clearResultCache();
+  std::filesystem::remove_all(Dir);
+
+  for (const char *P : {"lang.parse", "lang.eval", "lower", "sched.schedule",
+                        "regalloc", "sim"})
+    EXPECT_TRUE(Compute.count(P)) << P;
+  EXPECT_FALSE(Compute.count("driver.decode"));
+  EXPECT_EQ(Disk, (std::set<std::string>{"driver.store_load",
+                                         "driver.decode"}));
+  EXPECT_TRUE(Memory.empty());
 }

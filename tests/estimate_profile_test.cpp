@@ -9,7 +9,6 @@
 #include "lang/Parser.h"
 #include "lower/Lower.h"
 #include "ir/CFG.h"
-#include "opt/Cleanup.h"
 #include "trace/EstimateProfile.h"
 #include "trace/Trace.h"
 
@@ -140,13 +139,12 @@ TEST(EstimateProfile, ConservesFlowOnEveryWorkload) {
   // estimate where per block (entry units included) in-sum == count ==
   // out-sum, exactly, in integers.
   for (const driver::Workload &W : driver::workloads()) {
-    lang::Program P = driver::parseWorkload(W);
-    lower::LowerResult LR = lower::lowerProgram(P, {});
-    ASSERT_TRUE(LR.ok()) << W.Name << ": " << LR.Error;
-    opt::cleanupModule(LR.M);
-    InterpResult Est = estimateProfile(LR.M.Fn);
+    driver::CompileResult FE =
+        driver::compileFrontEnd(driver::parseWorkload(W), {});
+    ASSERT_TRUE(FE.ok()) << W.Name << ": " << FE.Error;
+    InterpResult Est = estimateProfile(FE.M.Fn);
     EXPECT_TRUE(Est.Finished) << W.Name;
-    EXPECT_EQ(checkProfileConservation(LR.M.Fn, Est, EstimateEntryCount), "")
+    EXPECT_EQ(checkProfileConservation(FE.M.Fn, Est, EstimateEntryCount), "")
         << W.Name;
   }
 }
@@ -370,12 +368,11 @@ TEST(EstimateProfile, BlockRankCorrelationFloor) {
   for (const Floor &FL : Floors) {
     const driver::Workload *W = driver::findWorkload(FL.Name);
     ASSERT_NE(W, nullptr) << FL.Name;
-    lang::Program P = driver::parseWorkload(*W);
-    lower::LowerResult LR = lower::lowerProgram(P, {});
-    ASSERT_TRUE(LR.ok()) << FL.Name << ": " << LR.Error;
-    opt::cleanupModule(LR.M);
-    InterpResult Est = estimateProfile(LR.M.Fn);
-    InterpResult Interp = interpret(LR.M);
+    driver::CompileResult FE =
+        driver::compileFrontEnd(driver::parseWorkload(*W), {});
+    ASSERT_TRUE(FE.ok()) << FL.Name << ": " << FE.Error;
+    InterpResult Est = estimateProfile(FE.M.Fn);
+    InterpResult Interp = interpret(FE.M);
     ASSERT_TRUE(Est.Finished) << FL.Name;
     ASSERT_TRUE(Interp.Finished) << FL.Name;
     double Rho = spearman(Est.BlockCounts, Interp.BlockCounts);

@@ -25,12 +25,10 @@
 #include "driver/JobFields.h"
 #include "ir/Interp.h"
 #include "lang/Parser.h"
-#include "lower/Lower.h"
 #include "opt/Cleanup.h"
 #include "regalloc/LinearScan.h"
 #include "support/Serialize.h"
 #include "support/ThreadPool.h"
-#include "xform/Unroll.h"
 
 #include <gtest/gtest.h>
 
@@ -163,14 +161,12 @@ namespace {
 /// Lowers \p W (optionally unrolled) without cleanup, ready for a pass-level
 /// differential run.
 ir::Module lowerWorkload(const Workload &W, int Unroll) {
-  lang::Program P = parseWorkload(W);
-  if (Unroll > 1) {
-    xform::unrollLoops(P, Unroll);
-    EXPECT_EQ(lang::checkProgram(P), "");
-  }
-  lower::LowerResult LR = lower::lowerProgram(P, {});
-  EXPECT_TRUE(LR.ok()) << W.Name << ": " << LR.Error;
-  return std::move(LR.M);
+  CompileOptions Opts;
+  Opts.UnrollFactor = Unroll;
+  Opts.CleanupIR = false;
+  CompileResult FE = compileFrontEnd(parseWorkload(W), Opts);
+  EXPECT_TRUE(FE.ok()) << W.Name << ": " << FE.Error;
+  return std::move(FE.M);
 }
 
 } // namespace

@@ -12,12 +12,10 @@
 #include "driver/Compiler.h"
 #include "lang/Generate.h"
 #include "lang/Parser.h"
-#include "lower/Lower.h"
 #include "sched/DepDAG.h"
 #include "sched/Exact.h"
 #include "sched/Schedule.h"
 #include "verify/Verify.h"
-#include "xform/Unroll.h"
 
 #include <gtest/gtest.h>
 #include <map>
@@ -34,14 +32,13 @@ std::vector<std::vector<const Instr *>> fuzzBlocks(uint64_t Seed,
                                                    Module &Storage,
                                                    int Unroll = 1,
                                                    size_t MinSize = 4) {
-  lang::Program P = lang::generateProgram(Seed);
-  if (Unroll > 1) {
-    xform::unrollLoops(P, Unroll);
-    lang::checkProgram(P);
-  }
-  lower::LowerResult LR = lower::lowerProgram(P);
-  EXPECT_TRUE(LR.ok()) << LR.Error;
-  Storage = std::move(LR.M);
+  driver::CompileOptions Opts;
+  Opts.UnrollFactor = Unroll;
+  Opts.CleanupIR = false;
+  driver::CompileResult FE =
+      driver::compileFrontEnd(lang::generateProgram(Seed), Opts);
+  EXPECT_TRUE(FE.ok()) << FE.Error;
+  Storage = std::move(FE.M);
   std::vector<std::vector<const Instr *>> Out;
   for (const BasicBlock &B : Storage.Fn.Blocks) {
     if (B.Instrs.size() < MinSize)
