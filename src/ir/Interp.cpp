@@ -16,36 +16,6 @@ ExecState::ExecState(const Module &M)
   assert(M.MemorySize != 0 && "module must be laid out before execution");
 }
 
-double ExecState::readFp(Reg R) const {
-  double V;
-  std::memcpy(&V, &Regs[R.Id], sizeof(double));
-  return V;
-}
-
-void ExecState::writeFp(Reg R, double V) {
-  std::memcpy(&Regs[R.Id], &V, sizeof(double));
-}
-
-uint64_t ExecState::loadWord(uint64_t Addr) const {
-  // Non-faulting loads: trace scheduling may hoist a load above the branch
-  // guarding it (section 3.2 permits speculating instructions that do not
-  // write memory and whose destination is dead off-trace). On the
-  // misspeculated path the address can be arbitrary, so out-of-range reads
-  // return deterministic garbage instead of faulting — the value is dead by
-  // the speculation-safety rule. Both the interpreter and the simulator use
-  // this routine, so checksums stay comparable.
-  if (Addr + 8 > Memory.size() || Addr + 8 < Addr)
-    return 0xdeadbeefdeadbeefull ^ Addr;
-  uint64_t V;
-  std::memcpy(&V, &Memory[Addr], 8);
-  return V;
-}
-
-void ExecState::storeWord(uint64_t Addr, uint64_t V) {
-  assert(Addr + 8 <= Memory.size() && "store out of bounds");
-  std::memcpy(&Memory[Addr], &V, 8);
-}
-
 uint64_t ExecState::outputChecksum(const Module &M) const {
   uint64_t Hash = 1469598103934665603ull;
   for (const ArrayInfo &A : M.Arrays) {

@@ -18,6 +18,7 @@
 #include "ir/IR.h"
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -69,15 +70,36 @@ public:
   explicit ExecState(const Module &M);
 
   int64_t readInt(Reg R) const { return static_cast<int64_t>(Regs[R.Id]); }
-  double readFp(Reg R) const;
+  double readFp(Reg R) const {
+    double V;
+    std::memcpy(&V, &Regs[R.Id], sizeof(double));
+    return V;
+  }
   void writeInt(Reg R, int64_t V) { Regs[R.Id] = static_cast<uint64_t>(V); }
-  void writeFp(Reg R, double V);
+  void writeFp(Reg R, double V) {
+    std::memcpy(&Regs[R.Id], &V, sizeof(double));
+  }
 
-  /// Reads a 64-bit word; out-of-range addresses return deterministic
-  /// garbage (non-faulting speculative-load semantics — see Interp.cpp).
-  uint64_t loadWord(uint64_t Addr) const;
+  /// Reads a 64-bit word. Non-faulting: trace scheduling may hoist a load
+  /// above the branch guarding it (section 3.2 permits speculating
+  /// instructions that do not write memory and whose destination is dead
+  /// off-trace). On the misspeculated path the address can be arbitrary, so
+  /// out-of-range reads return deterministic garbage instead of faulting —
+  /// the value is dead by the speculation-safety rule. interpret() repeats
+  /// this rule in its own load handler; the checksum checks (see the
+  /// micro-op notes below) keep the two copies in agreement.
+  uint64_t loadWord(uint64_t Addr) const {
+    if (Addr + 8 > Memory.size() || Addr + 8 < Addr)
+      return 0xdeadbeefdeadbeefull ^ Addr;
+    uint64_t V;
+    std::memcpy(&V, &Memory[Addr], 8);
+    return V;
+  }
   /// Writes a 64-bit word; out-of-range stores are program bugs (asserts).
-  void storeWord(uint64_t Addr, uint64_t V);
+  void storeWord(uint64_t Addr, uint64_t V) {
+    assert(Addr + 8 <= Memory.size() && "store out of bounds");
+    std::memcpy(&Memory[Addr], &V, 8);
+  }
 
   /// Effective address of a memory instruction under the current registers.
   uint64_t effectiveAddress(const Instr &I) const {
@@ -114,10 +136,12 @@ void executeInstr(ExecState &S, const Instr &I);
 // so walking Instr per dynamic instruction dominates any execution loop. The
 // predecoder flattens each instruction once into a compact micro-op with the
 // operand form resolved (reg-or-literal opcodes split into explicit register
-// and immediate variants). Both the profiling interpreter (interpret) and the
-// fast timing simulator (sim::SimImpl::Fast) run the micro-op stream;
-// execMicro is the single shared executor, so the two can never diverge
-// architecturally.
+// and immediate variants). The fast timing simulator (sim::SimImpl::Fast)
+// runs execMicro on this form; the profiling interpreter (interpret) runs its
+// own handlers over a packed copy of it. The two share the decoder, not the
+// executor, so what keeps them in agreement is a check: every job compares
+// its simulated checksum with the AST oracle's, and the fuzzer compares the
+// interpreter's checksum with the same oracle.
 
 enum class MicroKind : uint8_t {
   LdI, FLdI, Mov, FMov, ItoF, FtoI,
@@ -141,9 +165,10 @@ struct MicroOp {
 MicroOp decodeMicro(const Instr &I);
 
 /// Executes one micro-op; behaviour is bit-identical to executeInstr on the
-/// instruction it was decoded from. Inline so the callers' dispatch loops
-/// keep it in their hot path.
-inline void execMicro(ExecState &S, const MicroOp &O) {
+/// instruction it was decoded from. Forced inline: GCC otherwise leaves it
+/// out of line in the simulator's issue loop, and the call costs more than
+/// most of its handlers.
+[[gnu::always_inline]] inline void execMicro(ExecState &S, const MicroOp &O) {
   switch (O.K) {
   case MicroKind::LdI: S.writeInt(O.Dst, O.Imm); break;
   case MicroKind::FLdI: {

@@ -9,11 +9,15 @@
 ///
 ///  * FastCache indexes sets with a shift/mask when the geometry is a power
 ///    of two (division/modulo otherwise) and resolves the direct-mapped case
-///    (the 21164's L1s) with a single tag compare. cheapHit() lets the fetch
-///    path book a guaranteed hit on the most-recently-touched line without
-///    re-probing the set.
-///  * FastTlb fronts the fully-associative LRU scan with a one-compare MRU
-///    check; the >99% same-page case never walks the entry array.
+///    (the 21164's L1s) with a single tag compare. cheapHits(N) lets the
+///    fetch path book N guaranteed hits on the most-recently-touched line at
+///    once, without re-probing the set.
+///  * FastTlb fronts the fully-associative LRU scan with a 256-entry
+///    page->slot hint table indexed by the page number's low bits. Loads and
+///    stores alternate among a few pages, which a one-entry MRU front does
+///    not catch; the hint does, so a hit costs two loads and a compare and
+///    only a miss (or a hint overwritten by a colliding page) walks the
+///    entries.
 ///  * MshrFile and WriteFifo replace the std::map / erase-from-front vector
 ///    of the seed with fixed-capacity arrays sized by the configuration
 ///    (6 entries on the 21164): all operations are short linear scans or
@@ -26,6 +30,7 @@
 
 #include "sim/Machine.h"
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -114,14 +119,15 @@ public:
     return access(Addr, /*Allocate=*/false, Stats);
   }
 
-  /// Books one access that is known to hit the line touched by the previous
-  /// access/allocate (the fetch path's same-line run): identical counter and
-  /// recency effects to a full access() that hits, without the probe. Only
-  /// valid when the caller can prove residency — nothing else may have
-  /// evicted the line in between.
-  void cheapHit(CacheStats &Stats) {
-    ++Stats.Accesses;
-    ++Clock;
+  /// Books \p N accesses that are known to hit the line touched by the
+  /// previous access that hit or allocated (the fetch path's same-line run):
+  /// identical counter and recency effects to N full access() calls that
+  /// hit, without the probes. Only valid when the caller can prove
+  /// residency — nothing else may have evicted the line in between. N = 0
+  /// changes nothing (that line's stamp already equals the clock).
+  void cheapHits(uint64_t N, CacheStats &Stats) {
+    Stats.Accesses += N;
+    Clock += N;
     Stamp[LastSlot] = Clock;
   }
 
@@ -141,32 +147,41 @@ private:
   size_t LastSlot = 0;
 };
 
-/// Fully-associative LRU TLB with a single-entry MRU front, behaviourally
+/// Fully-associative LRU TLB with a page->slot hint front, behaviourally
 /// identical to sim::Tlb.
 class FastTlb {
 public:
+  /// Entries in the hint table (a power of two).
+  static constexpr unsigned HintSize = 256;
+
   FastTlb(unsigned Entries, unsigned PageSize)
       : PageSize(PageSize), Pages(Entries, ~0ull), Stamp(Entries, 0) {
     Pow2Page = fastdetail::isPow2(PageSize);
     PageShift = Pow2Page ? fastdetail::log2OfPow2(PageSize) : 0;
+    Hint.fill(0);
   }
 
   /// Returns true on hit; always leaves the page mapped.
   bool access(uint64_t Addr) {
     uint64_t Page = Pow2Page ? Addr >> PageShift : Addr / PageSize;
     ++Clock;
-    // MRU fast path: consecutive accesses overwhelmingly touch the same
-    // page. A hit here is exactly the hit the reference scan would find —
-    // pages are unique in the table — with the same recency update.
-    if (Pages[MruIdx] == Page) {
-      Stamp[MruIdx] = Clock;
+    // Hinted hit. A hint is trusted only when its slot still holds the
+    // page; pages are unique in the table, so that slot is exactly the
+    // entry the reference scan would find, and it gets the same recency
+    // update. A stale hint (its slot was refilled) falls through to the
+    // scan, which re-points it.
+    uint32_t &H = Hint[Page & (HintSize - 1)];
+    if (Pages[H] == Page) {
+      Stamp[H] = Clock;
+      LastIdx = H;
       return true;
     }
     size_t Victim = 0;
     for (size_t I = 0; I != Pages.size(); ++I) {
       if (Pages[I] == Page) {
         Stamp[I] = Clock;
-        MruIdx = I;
+        H = static_cast<uint32_t>(I);
+        LastIdx = H;
         return true;
       }
       if (Stamp[I] < Stamp[Victim])
@@ -174,15 +189,17 @@ public:
     }
     Pages[Victim] = Page;
     Stamp[Victim] = Clock;
-    MruIdx = Victim;
+    H = static_cast<uint32_t>(Victim);
+    LastIdx = H;
     return false;
   }
 
-  /// Books one access known to hit the MRU page (fetch same-page runs);
-  /// identical effects to access() hitting, without the compare/scan.
-  void cheapHit() {
-    ++Clock;
-    Stamp[MruIdx] = Clock;
+  /// Books \p N accesses known to hit the page of the previous access
+  /// (fetch same-page runs); identical effects to N access() calls hitting,
+  /// without the lookups. N = 0 changes nothing.
+  void cheapHits(uint64_t N) {
+    Clock += N;
+    Stamp[LastIdx] = Clock;
   }
 
 private:
@@ -191,8 +208,11 @@ private:
   unsigned PageShift = 0;
   std::vector<uint64_t> Pages;
   std::vector<uint64_t> Stamp;
+  /// Slot of the last page looked up whose page number has these low bits;
+  /// only a hint (see access()).
+  std::array<uint32_t, HintSize> Hint;
   uint64_t Clock = 0;
-  size_t MruIdx = 0;
+  uint32_t LastIdx = 0;
 };
 
 /// Outstanding-miss file: fixed-capacity array keyed by line address,
@@ -262,15 +282,20 @@ public:
   unsigned size() const { return Count; }
   uint64_t front() const { return Buf[Head]; }
 
+  /// Appends one entry; the caller keeps the size below the capacity.
   void push(uint64_t RetireCycle) {
-    Buf[(Head + Count) % Buf.size()] = RetireCycle;
+    size_t Tail = Head + Count;
+    if (Tail >= Buf.size())
+      Tail -= Buf.size();
+    Buf[Tail] = RetireCycle;
     ++Count;
   }
 
   /// Pops every entry retired by \p Cycle.
   void drain(uint64_t Cycle) {
     while (Count != 0 && Buf[Head] <= Cycle) {
-      Head = (Head + 1) % Buf.size();
+      if (++Head == Buf.size())
+        Head = 0;
       --Count;
     }
   }

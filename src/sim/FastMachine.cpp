@@ -7,25 +7,34 @@
 // comes from three structural changes, not from changing the model:
 //
 //  1. Predecoding. Each basic block is flattened once into SimOps: the
-//     ir::MicroOp executor form (shared with the profiling interpreter, so
-//     architectural behaviour cannot diverge) plus everything the pipeline
-//     asks per dynamic instruction — use list in appendUses order, def id,
-//     fixed latency, pipe class, count bucket, and flags. The per-cycle loop
-//     never touches ir::Instr or opInfo again.
+//     ir::MicroOp executor form (run by ir::execMicro; each job's checksum
+//     check against the AST oracle keeps it architecturally exact) plus
+//     everything the pipeline asks per dynamic instruction — use list in
+//     appendUses order, def id, fixed latency, pipe class, count bucket,
+//     and flags. The per-cycle loop never touches ir::Instr or opInfo
+//     again.
 //
-//  2. Fast memory-system models (FastCaches.h): one-compare MRU TLB front,
+//  2. Fast memory-system models (FastCaches.h): a hinted TLB front,
 //     shift/mask direct-mapped caches, fixed-array MSHR file and
 //     write-buffer ring.
 //
 //  3. Run-based fetch. Straight-line code stays in one I-cache line for
 //     several instructions and in one page for hundreds; the predecoder
-//     marks those runs. The full ITLB+L1I probe happens once per run, and
-//     the remaining instructions book guaranteed hits (exact same counter
-//     and LRU-stamp updates) without probing. The hits are provable: fetch
-//     is the only client of the ITLB and L1I, and a run never leaves the
-//     head's line or page, so nothing can evict them mid-run. The D-side
-//     shares only L2/L3, which the I-side touches only on a run-head L1I
-//     miss — so the interleaving of L2/L3 accesses is also preserved.
+//     marks those runs. The full ITLB+L1I probe happens once per run, at
+//     its head, which also books the rest of the run's guaranteed hits in
+//     one step (exact same counter and LRU-stamp totals). The hits are
+//     provable: fetch is the only client of the ITLB and L1I, and a run
+//     never leaves the head's line or page, so nothing can evict them
+//     mid-run. The D-side shares only L2/L3, which the I-side touches only
+//     on a run-head L1I miss — so the interleaving of L2/L3 accesses is
+//     also preserved. Only the L1I access count is visible before a run
+//     ends, and only at a cycle-budget exit, which takes the unissued
+//     remainder back out of it.
+//
+// The per-instruction loop is kept short: the scoreboard is one array (see
+// Board), the executor is inlined, and the issue clock lives in a local
+// (see Issue), so it stays in a register across the stores to the
+// scoreboard and cache arrays.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +46,7 @@
 #include "ir/Interp.h"
 #include "support/RNG.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <vector>
@@ -56,13 +66,12 @@ constexpr unsigned BucketSpill = 7, BucketRestore = 8, NumBuckets = 9;
 /// instruction fact the pipeline needs, resolved once.
 struct SimOp {
   MicroOp U;         ///< executor form (unused for terminators).
-  uint32_t DefId;    ///< defined register id, or Reg::InvalidId.
-  int32_t Latency;   ///< fixed issue-to-result latency (opInfo).
-  uint32_t Uses[4];  ///< source register ids, appendUses order.
+  uint32_t DefId;    ///< defined register id, or the sink id (no def).
+  int32_t Latency;   ///< fixed issue-to-result latency (1 if Simple).
+  uint32_t Uses[4];  ///< source register ids, padded with the dummy id.
   uint32_t RunLen;   ///< fetch-run length when this op heads a run.
   int32_t T0, T1;    ///< terminator targets.
   uint32_t CondId;   ///< Br condition register id.
-  uint8_t NumUses;
   uint8_t Pipe;      ///< 0 int, 1 fp, 2 mem.
   uint8_t Bucket;    ///< InstrClass value, or spill/restore bucket.
   uint8_t Flags;
@@ -105,22 +114,29 @@ public:
     if (!predecode())
       return R;
 
-    ReadyAt.assign(M.Fn.numRegs(), 0);
-    LoadProduced.assign(M.Fn.numRegs(), 0);
+    // Every register plus the dummy (always ready, never written) and the
+    // sink (written by ops with no def, never read).
+    Board.assign(M.Fn.numRegs() + 2, 0);
 
     assert(Simple == Config.SimpleModel && Wide == (Config.IssueWidth > 1) &&
            Fetch == (!Simple && !Config.PerfectFrontEnd) &&
            "dispatched to the wrong specialization");
     uint64_t CountBy[NumBuckets] = {};
+    // A local copy: the member is reloaded after every scoreboard store.
+    const uint64_t Budget = MaxCycles;
 
+    Issue S;
     int Block = 0;
     while (true) {
       const SimBlock &SB = Blocks[static_cast<size_t>(Block)];
       const SimOp *Ops = &AllOps[SB.Start];
+      // Hits of the current fetch run booked at its head but not yet
+      // issued (runs never cross a block boundary).
       uint32_t RunLeft = 0;
       for (uint32_t I = 0;; ++I) {
-        if (Cycle > MaxCycles) {
-          R.Cycles = Cycle;
+        if (S.Cycle > Budget) {
+          R.Cycles = S.Cycle;
+          R.L1I.Accesses -= RunLeft;
           finishCounts(CountBy);
           return R;
         }
@@ -128,34 +144,43 @@ public:
 
         if (!Wide) {
           // Single issue: one slot per cycle, no per-pipe limits.
-          if (SlotsUsed != 0)
-            closeGroup();
+          if (S.SlotsUsed != 0)
+            closeGroup(S);
         } else {
-          while (!slotAvailable(Op))
-            closeGroup();
+          while (!slotAvailable(S, Op))
+            closeGroup(S);
         }
 
         if (Fetch) {
           if (RunLeft != 0) {
-            // Provably resident (see file header): book the hits without
-            // probing. Counter and recency effects match a full access.
-            --RunLeft;
-            ITlb.cheapHit();
-            L1I.cheapHit(R.L1I);
+            --RunLeft; // booked at the run head
           } else {
-            fetch(SB.BaseAddr + 4ull * I);
+            fetch(S, SB.BaseAddr + 4ull * I);
+            // The rest of the run is provably resident (see file header):
+            // book its hits now. Counter and recency totals match a full
+            // access per instruction.
             RunLeft = Op.RunLen - 1;
+            ITlb.cheapHits(RunLeft);
+            L1I.cheapHits(RunLeft, R.L1I);
           }
         }
 
-        stallOnSources(Op);
+        stallOnSources(S, Op);
         ++CountBy[Op.Bucket];
-        takeSlot(Op);
+        takeSlot(S, Op);
 
+        if (Op.Flags == 0) {
+          // The common case, kept off the flag tests below: a fixed-latency
+          // op that is not a divide.
+          setReady(Op.DefId, S.Cycle + static_cast<uint64_t>(Op.Latency),
+                   false);
+          execMicro(State, Op.U);
+          continue;
+        }
         if (Op.Flags & FlagTerm) {
           if (Op.TermKind == TermRet) {
             R.Finished = true;
-            R.Cycles = Cycle + 1;
+            R.Cycles = S.Cycle + 1;
             R.Checksum = State.outputChecksum(M);
             finishCounts(CountBy);
             return R;
@@ -168,23 +193,24 @@ public:
             if (!Simple &&
                 !Pred.predictAndUpdate(SB.BaseAddr + 4ull * I, Taken)) {
               ++R.BranchMispredicts;
-              closeGroup();
-              Cycle += static_cast<uint64_t>(Config.BranchMispredictPenalty);
+              closeGroup(S);
+              S.Cycle +=
+                  static_cast<uint64_t>(Config.BranchMispredictPenalty);
               R.BranchPenaltyCycles +=
                   static_cast<uint64_t>(Config.BranchMispredictPenalty);
             } else if (Taken) {
               // No issue past a taken branch within the same cycle.
-              closeGroup();
+              closeGroup(S);
             }
           } else {
             Next = Op.T0;
-            closeGroup();
+            closeGroup(S);
           }
           Block = Next;
           break;
         }
 
-        issueAndExec(Op);
+        issueAndExec(S, Op);
       }
     }
   }
@@ -203,11 +229,21 @@ private:
   WriteFifo WriteBuf;
   RNG Rng;
 
-  uint64_t Cycle = 0;
-  // Per-cycle issue bookkeeping (the in-order superscalar group).
-  unsigned SlotsUsed = 0, IntUsed = 0, FpUsed = 0, MemUsed = 0;
-  std::vector<uint64_t> ReadyAt;
-  std::vector<uint8_t> LoadProduced;
+  /// The issue clock and the open group's slot counts (the in-order
+  /// superscalar group). run() keeps them in a local and hands it to the
+  /// helpers, so they stay in registers: as members, every store to the
+  /// scoreboard or a cache array might alias them and forced a reload.
+  struct Issue {
+    uint64_t Cycle = 0;
+    unsigned SlotsUsed = 0, IntUsed = 0, FpUsed = 0, MemUsed = 0;
+  };
+
+  /// The scoreboard, one word per register: ReadyAt << 1 | producedByLoad.
+  /// The max of an op's four words is its latest source's ready cycle in
+  /// the high bits, and in the low bit whether a load produced one of the
+  /// sources ready at that cycle — the reference's tie rule, which blames a
+  /// load for a tie with a fixed-latency producer.
+  std::vector<uint64_t> Board;
   uint64_t DivBusyUntil = 0;
 
   std::vector<SimOp> AllOps;
@@ -231,6 +267,8 @@ private:
       Addr += 4 * B.Instrs.size();
     }
 
+    // Board's two extra words (see run()).
+    const uint32_t DummyId = M.Fn.numRegs(), SinkId = DummyId + 1;
     std::vector<Reg> Uses;
     for (size_t BI = 0; BI != M.Fn.Blocks.size(); ++BI) {
       const BasicBlock &B = M.Fn.Blocks[BI];
@@ -251,16 +289,16 @@ private:
 
         SimOp Op{};
         assert(Uses.size() <= 4 && "instruction with more than four sources");
-        Op.NumUses = static_cast<uint8_t>(Uses.size());
-        for (size_t UI = 0; UI != Uses.size(); ++UI)
-          Op.Uses[UI] = Uses[UI].Id;
+        for (size_t UI = 0; UI != 4; ++UI)
+          Op.Uses[UI] = UI < Uses.size() ? Uses[UI].Id : DummyId;
         const OpInfo &Info = opInfo(In.Op);
         Op.Pipe = pipeOf(Info.Cls);
         Op.Bucket = In.IsSpill     ? BucketSpill
                     : In.IsRestore ? BucketRestore
                                    : static_cast<uint8_t>(Info.Cls);
-        Op.Latency = Info.Latency;
-        Op.DefId = D.isValid() ? D.Id : Reg::InvalidId;
+        // The 1993 simple model gives every non-load a latency of 1.
+        Op.Latency = Simple ? 1 : Info.Latency;
+        Op.DefId = D.isValid() ? D.Id : SinkId;
         if (Info.IsTerminator) {
           Op.Flags = FlagTerm;
           Op.TermKind = In.Op == Opcode::Ret  ? TermRet
@@ -335,49 +373,49 @@ private:
   // Issue groups
   //===--------------------------------------------------------------------===//
 
-  bool slotAvailable(const SimOp &Op) const {
-    if (SlotsUsed >= Config.IssueWidth)
+  bool slotAvailable(const Issue &S, const SimOp &Op) const {
+    if (S.SlotsUsed >= Config.IssueWidth)
       return false;
     if (!Wide)
       return true; // the single slot is the only constraint
     switch (Op.Pipe) {
     case 0:
-      return IntUsed < Config.MaxIntPerCycle;
+      return S.IntUsed < Config.MaxIntPerCycle;
     case 1:
-      return FpUsed < Config.MaxFpPerCycle;
+      return S.FpUsed < Config.MaxFpPerCycle;
     default:
-      return MemUsed < Config.MaxMemPerCycle;
+      return S.MemUsed < Config.MaxMemPerCycle;
     }
   }
 
   /// Ends the current issue group: the next instruction starts a new cycle.
-  void closeGroup() {
-    ++Cycle;
-    SlotsUsed = IntUsed = FpUsed = MemUsed = 0;
+  static void closeGroup(Issue &S) {
+    ++S.Cycle;
+    S.SlotsUsed = S.IntUsed = S.FpUsed = S.MemUsed = 0;
   }
 
   /// Moves time forward (stalls); any partially filled group is abandoned.
-  void advanceTo(uint64_t NewCycle) {
-    Cycle = NewCycle;
-    SlotsUsed = IntUsed = FpUsed = MemUsed = 0;
+  static void advanceTo(Issue &S, uint64_t NewCycle) {
+    S.Cycle = NewCycle;
+    S.SlotsUsed = S.IntUsed = S.FpUsed = S.MemUsed = 0;
   }
 
   /// A stall discovered while the current instruction is issuing (divider,
   /// TLB refill, MSHR or write-buffer pressure): time moves, and the group
   /// is marked full so the next instruction starts a fresh cycle.
-  void stallInIssue(uint64_t NewCycle) {
-    Cycle = NewCycle;
-    SlotsUsed = Config.IssueWidth;
+  void stallInIssue(Issue &S, uint64_t NewCycle) const {
+    S.Cycle = NewCycle;
+    S.SlotsUsed = Config.IssueWidth;
   }
 
-  void takeSlot(const SimOp &Op) {
-    ++SlotsUsed;
+  static void takeSlot(Issue &S, const SimOp &Op) {
+    ++S.SlotsUsed;
     if (!Wide)
       return; // per-pipe counters are only consulted when issuing wide
     switch (Op.Pipe) {
-    case 0: ++IntUsed; break;
-    case 1: ++FpUsed; break;
-    default: ++MemUsed; break;
+    case 0: ++S.IntUsed; break;
+    case 1: ++S.FpUsed; break;
+    default: ++S.MemUsed; break;
     }
   }
 
@@ -385,10 +423,10 @@ private:
   // Front end
   //===--------------------------------------------------------------------===//
 
-  void fetch(uint64_t Addr) {
+  void fetch(Issue &S, uint64_t Addr) {
     if (!ITlb.access(Addr)) {
       ++R.ITlbMisses;
-      advanceTo(Cycle + static_cast<uint64_t>(Config.TlbRefillLatency));
+      advanceTo(S, S.Cycle + static_cast<uint64_t>(Config.TlbRefillLatency));
       R.ITlbStallCycles += static_cast<uint64_t>(Config.TlbRefillLatency);
     }
     if (!L1I.access(Addr, /*Allocate=*/true, R.L1I)) {
@@ -399,7 +437,7 @@ private:
           Latency = Config.MemoryLatency;
       }
       uint64_t Stall = static_cast<uint64_t>(Latency - Config.L1I.Latency);
-      advanceTo(Cycle + Stall);
+      advanceTo(S, S.Cycle + Stall);
       R.ICacheStallCycles += Stall;
     }
   }
@@ -408,29 +446,25 @@ private:
   // Scoreboard
   //===--------------------------------------------------------------------===//
 
-  void stallOnSources(const SimOp &Op) {
-    uint64_t Until = Cycle;
-    bool BlameLoad = false;
-    for (uint8_t N = 0; N != Op.NumUses; ++N) {
-      uint32_t Id = Op.Uses[N];
-      uint64_t T = ReadyAt[Id];
-      if (T > Until) {
-        Until = T;
-        BlameLoad = LoadProduced[Id] != 0;
-      } else if (T == Until && T > Cycle && LoadProduced[Id] != 0) {
-        // Tie between a load and a fixed-latency producer: blame the load,
-        // like the paper's accounting of load interlocks.
-        BlameLoad = true;
-      }
-    }
-    if (Until > Cycle) {
-      uint64_t Stall = Until - Cycle;
-      if (BlameLoad)
+  void stallOnSources(Issue &S, const SimOp &Op) {
+    const uint64_t *B = Board.data();
+    uint64_t Latest = std::max(std::max(B[Op.Uses[0]], B[Op.Uses[1]]),
+                               std::max(B[Op.Uses[2]], B[Op.Uses[3]]));
+    uint64_t Until = Latest >> 1;
+    if (Until > S.Cycle) {
+      uint64_t Stall = Until - S.Cycle;
+      // A load among the latest producers takes the blame, like the paper's
+      // accounting of load interlocks.
+      if (Latest & 1)
         R.LoadInterlockCycles += Stall;
       else
         R.FixedInterlockCycles += Stall;
-      advanceTo(Until);
+      advanceTo(S, Until);
     }
+  }
+
+  void setReady(uint32_t Id, uint64_t At, bool ByLoad) {
+    Board[Id] = At << 1 | static_cast<uint64_t>(ByLoad);
   }
 
   //===--------------------------------------------------------------------===//
@@ -448,7 +482,7 @@ private:
     return Config.MemoryLatency;
   }
 
-  void issueAndExec(const SimOp &Op) {
+  void issueAndExec(Issue &S, const SimOp &Op) {
     if (Op.Flags & FlagLoad) {
       uint64_t Addr =
           static_cast<uint64_t>(State.readInt(Op.U.B) + Op.U.Imm);
@@ -460,7 +494,8 @@ private:
       } else {
         if (!DTlb.access(Addr)) {
           ++R.DTlbMisses;
-          stallInIssue(Cycle + static_cast<uint64_t>(Config.TlbRefillLatency));
+          stallInIssue(S, S.Cycle +
+                              static_cast<uint64_t>(Config.TlbRefillLatency));
           R.DTlbStallCycles += static_cast<uint64_t>(Config.TlbRefillLatency);
         }
         uint64_t Line = L1D.lineOf(Addr);
@@ -468,29 +503,28 @@ private:
         // (absent) and stale entries take the same miss path — exactly the
         // reference's (found && Done > Cycle) merge condition.
         uint64_t PendingDone = Mshrs.findDone(Line);
-        if (PendingDone > Cycle) {
+        if (PendingDone > S.Cycle) {
           // Merge with the outstanding miss to the same line. Keep the L1
           // counters honest: this is another L1 access that did not hit in
           // the live cache state.
-          Latency = static_cast<int>(PendingDone - Cycle);
+          Latency = static_cast<int>(PendingDone - S.Cycle);
           ++R.L1D.Accesses;
         } else {
           Latency = dataAccess(Addr, /*IsLoad=*/true);
           if (Latency > Config.L1D.Latency) {
             // Lockup-free cache: take an MSHR, stalling if all are busy.
-            Mshrs.retire(Cycle);
+            Mshrs.retire(S.Cycle);
             if (Mshrs.size() >= Config.NumMSHRs) {
               uint64_t Earliest = Mshrs.earliestDone();
-              R.MshrStallCycles += Earliest - Cycle;
-              stallInIssue(Earliest);
-              Mshrs.retire(Cycle);
+              R.MshrStallCycles += Earliest - S.Cycle;
+              stallInIssue(S, Earliest);
+              Mshrs.retire(S.Cycle);
             }
-            Mshrs.insert(Line, Cycle + static_cast<uint64_t>(Latency));
+            Mshrs.insert(Line, S.Cycle + static_cast<uint64_t>(Latency));
           }
         }
       }
-      ReadyAt[Op.DefId] = Cycle + static_cast<uint64_t>(Latency);
-      LoadProduced[Op.DefId] = 1;
+      setReady(Op.DefId, S.Cycle + static_cast<uint64_t>(Latency), true);
 
       uint64_t Bits = State.loadWord(Addr);
       if (Op.U.K == MicroKind::FLoad) {
@@ -509,21 +543,22 @@ private:
       if (!Simple) {
         if (!DTlb.access(Addr)) {
           ++R.DTlbMisses;
-          stallInIssue(Cycle + static_cast<uint64_t>(Config.TlbRefillLatency));
+          stallInIssue(S, S.Cycle +
+                              static_cast<uint64_t>(Config.TlbRefillLatency));
           R.DTlbStallCycles += static_cast<uint64_t>(Config.TlbRefillLatency);
         }
         // Write-through with no write-allocate at L1; the write buffer
         // absorbs the L2 access time.
         L1D.touch(Addr, R.L1D);
         L2.access(Addr, /*Allocate=*/true, R.L2);
-        WriteBuf.drain(Cycle);
+        WriteBuf.drain(S.Cycle);
         if (WriteBuf.size() >= Config.WriteBufferEntries) {
           uint64_t Earliest = WriteBuf.front();
-          R.WriteBufferStallCycles += Earliest - Cycle;
-          stallInIssue(Earliest);
-          WriteBuf.drain(Cycle);
+          R.WriteBufferStallCycles += Earliest - S.Cycle;
+          stallInIssue(S, Earliest);
+          WriteBuf.drain(S.Cycle);
         }
-        WriteBuf.push(Cycle + static_cast<uint64_t>(Config.L2.Latency));
+        WriteBuf.push(S.Cycle + static_cast<uint64_t>(Config.L2.Latency));
       }
 
       uint64_t Bits;
@@ -537,19 +572,16 @@ private:
       return;
     }
 
-    int Latency = Simple ? 1 : Op.Latency;
+    int Latency = Op.Latency;
     if ((Op.Flags & FlagFDiv) && !Simple) {
       // The divider is not pipelined.
-      if (DivBusyUntil > Cycle) {
-        R.FixedInterlockCycles += DivBusyUntil - Cycle;
-        stallInIssue(DivBusyUntil);
+      if (DivBusyUntil > S.Cycle) {
+        R.FixedInterlockCycles += DivBusyUntil - S.Cycle;
+        stallInIssue(S, DivBusyUntil);
       }
-      DivBusyUntil = Cycle + static_cast<uint64_t>(Latency);
+      DivBusyUntil = S.Cycle + static_cast<uint64_t>(Latency);
     }
-    if (Op.DefId != Reg::InvalidId) {
-      ReadyAt[Op.DefId] = Cycle + static_cast<uint64_t>(Latency);
-      LoadProduced[Op.DefId] = 0;
-    }
+    setReady(Op.DefId, S.Cycle + static_cast<uint64_t>(Latency), false);
     execMicro(State, Op.U);
   }
 };

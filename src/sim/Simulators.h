@@ -24,8 +24,9 @@ namespace detail {
 SimResult simulateReference(const ir::Module &M, const MachineConfig &Config,
                             uint64_t MaxCycles);
 
-/// The optimized core: per-block predecoded micro-ops, MRU/one-probe memory
-/// system fast paths, run-based fetch modeling. Bit-identical results.
+/// The optimized core: per-block predecoded micro-ops, hinted/one-probe
+/// memory system fast paths, run-based fetch modeling. Bit-identical
+/// results.
 SimResult simulateFast(const ir::Module &M, const MachineConfig &Config,
                        uint64_t MaxCycles);
 

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+#include <vector>
+
 using namespace bsched;
 using namespace bsched::sim;
 
@@ -169,28 +173,66 @@ TEST(FastCache, MatchesReferenceOnRandomStream) {
   }
 }
 
-TEST(FastCache, CheapHitMatchesRealHit) {
-  // After any access, a cheapHit must leave the cache in the same state a
-  // real same-line access would: verify by diverging two identical caches
-  // and checking subsequent eviction behaviour stays identical.
-  CacheConfig G{256, 32, 2, 2};
-  Cache Ref(G);
-  FastCache Fast(G);
-  CacheStats RS, FS;
-  uint64_t Stream = 7;
-  for (int I = 0; I != 5000; ++I) {
-    uint64_t Addr = nextAddr(Stream);
-    ASSERT_EQ(Fast.access(Addr, true, FS), Ref.access(Addr, true, RS));
-    // Book two same-line re-touches: full access on the reference, cheap
-    // hits on the fast twin.
-    for (int K = 0; K != 2; ++K) {
-      ASSERT_TRUE(Ref.access(Addr, true, RS));
-      Fast.cheapHit(FS);
+TEST(FastCache, CheapHitsMatchRealHits) {
+  // After an allocating access, cheapHits(N) must leave the cache exactly as
+  // N real accesses to the same line would: same counters now, and the same
+  // victims later (the random stream keeps evicting). N = 0 must change
+  // nothing. Direct-mapped (the 21164's L1I) and 2-way geometries.
+  for (const CacheConfig &G :
+       {CacheConfig{256, 32, 1, 2}, CacheConfig{256, 32, 2, 2}}) {
+    Cache Ref(G);
+    FastCache Fast(G);
+    CacheStats RS, FS;
+    uint64_t Stream = 7 + G.Assoc;
+    for (int I = 0; I != 5000; ++I) {
+      uint64_t Addr = nextAddr(Stream);
+      ASSERT_EQ(Fast.access(Addr, true, FS), Ref.access(Addr, true, RS))
+          << "assoc " << G.Assoc << " access " << I;
+      uint64_t N = (Stream >> 40) % 6; // 0..5 booked hits
+      for (uint64_t K = 0; K != N; ++K)
+        ASSERT_TRUE(Ref.access(Addr, true, RS));
+      Fast.cheapHits(N, FS);
+      ASSERT_EQ(FS.Accesses, RS.Accesses);
+      ASSERT_EQ(FS.Misses, RS.Misses);
     }
-    ASSERT_EQ(FS.Accesses, RS.Accesses);
-    ASSERT_EQ(FS.Misses, RS.Misses);
   }
 }
+
+namespace {
+
+/// Runs \p Addrs through the reference and the fast TLB and asserts that
+/// every access hits or misses alike. Recency state shows up in which page
+/// a later miss evicts, so equal outcomes over a stream that keeps
+/// evicting pin the LRU order too.
+void expectTlbTwins(unsigned Entries, unsigned PageSize,
+                    const std::vector<uint64_t> &Addrs,
+                    const std::string &What) {
+  Tlb Ref(Entries, PageSize);
+  FastTlb Fast(Entries, PageSize);
+  for (size_t I = 0; I != Addrs.size(); ++I)
+    ASSERT_EQ(Fast.access(Addrs[I]), Ref.access(Addrs[I]))
+        << What << ": " << Entries << " entries, page " << PageSize
+        << ", access " << I;
+}
+
+/// Alternates among \p Pages pages the way loads and stores do: mostly
+/// a fixed rotation with random picks in the set, plus an occasional page
+/// from outside it so the LRU order is exercised by evictions.
+std::vector<uint64_t> workingSetStream(unsigned Pages, unsigned PageSize,
+                                       uint64_t Seed, int Length) {
+  std::vector<uint64_t> Addrs;
+  uint64_t State = Seed;
+  for (int I = 0; I != Length; ++I) {
+    uint64_t R = nextAddr(State);
+    uint64_t Page = R % 16 == 0 ? Pages + R % 64 // outside the set
+                    : R % 4 == 0 ? R % Pages    // random pick in the set
+                                 : static_cast<uint64_t>(I) % Pages;
+    Addrs.push_back(Page * PageSize + R % PageSize);
+  }
+  return Addrs;
+}
+
+} // namespace
 
 TEST(FastTlb, MatchesReferenceOnRandomStream) {
   struct Geometry {
@@ -200,28 +242,76 @@ TEST(FastTlb, MatchesReferenceOnRandomStream) {
   const Geometry Geometries[] = {
       {1, 8192}, {4, 8192}, {48, 8192}, {3, 1000} /* non-power-of-two page */};
   for (const Geometry &G : Geometries) {
-    Tlb Ref(G.Entries, G.PageSize);
-    FastTlb Fast(G.Entries, G.PageSize);
+    std::vector<uint64_t> Addrs;
     uint64_t Stream = G.Entries * 131 + G.PageSize;
-    for (int I = 0; I != 20000; ++I) {
-      uint64_t Addr = nextAddr(Stream) * 257; // spread across pages
-      ASSERT_EQ(Fast.access(Addr), Ref.access(Addr))
-          << G.Entries << " entries, page " << G.PageSize << ", access " << I;
-    }
+    for (int I = 0; I != 20000; ++I)
+      Addrs.push_back(nextAddr(Stream) * 257); // spread across pages
+    expectTlbTwins(G.Entries, G.PageSize, Addrs, "random stream");
   }
 }
 
-TEST(FastTlb, CheapHitMatchesRealHit) {
-  Tlb Ref(4, 8192);
-  FastTlb Fast(4, 8192);
-  uint64_t Stream = 99;
-  for (int I = 0; I != 5000; ++I) {
-    uint64_t Addr = nextAddr(Stream) * 64;
-    ASSERT_EQ(Fast.access(Addr), Ref.access(Addr)) << "access " << I;
-    // Same-page re-touches: full scan on the reference, MRU cheap hit on
-    // the fast twin; LRU order must stay identical afterwards.
-    ASSERT_TRUE(Ref.access(Addr));
-    Fast.cheapHit();
+TEST(FastTlb, HintedHitsOnSmallWorkingSets) {
+  // Working sets that fit a 64-entry TLB hit through the hint after warm-up;
+  // 1- and 2-entry TLBs and the non-power-of-two page thrash the same sets.
+  for (unsigned Entries : {1u, 2u, 64u})
+    for (unsigned PageSize : {8192u, 3000u})
+      for (unsigned Pages : {2u, 3u, 5u, 8u, 17u, 32u, 48u})
+        expectTlbTwins(Entries, PageSize,
+                       workingSetStream(Pages, PageSize, Pages * 7 + Entries,
+                                        4000),
+                       "working set of " + std::to_string(Pages));
+}
+
+TEST(FastTlb, CollidingHintIndices) {
+  // Pages a multiple of the hint-table size apart share one hint, so each
+  // lookup can find the hint pointing at the other page's slot.
+  const uint64_t Stride = FastTlb::HintSize;
+  for (unsigned Entries : {1u, 2u, 64u})
+    for (unsigned PageSize : {8192u, 3000u}) {
+      std::vector<uint64_t> Addrs;
+      uint64_t State = Entries + PageSize;
+      for (int I = 0; I != 4000; ++I) {
+        uint64_t R = nextAddr(State);
+        // Four colliding pages on index 5, two on index 9, alternating.
+        uint64_t Page = I % 3 == 2 ? 9 + Stride * (R % 2)
+                                   : 5 + Stride * (R % 4);
+        Addrs.push_back(Page * PageSize + R % PageSize);
+      }
+      expectTlbTwins(Entries, PageSize, Addrs, "colliding hints");
+    }
+}
+
+TEST(FastTlb, StaleHintAfterEviction) {
+  // Page 3's hint names its slot; pages 4 and 5 then evict it from a
+  // 2-entry TLB and refill that slot, so the hint is stale: page 3 must
+  // miss, and page 3 + HintSize (same hint) must not hit through it.
+  const uint64_t P = 8192, H = FastTlb::HintSize;
+  expectTlbTwins(2, 8192,
+                 {3 * P, 4 * P, 5 * P, 3 * P, 4 * P, 5 * P, (3 + H) * P,
+                  3 * P, (3 + H) * P, 3 * P, 3 * P},
+                 "stale hint");
+  // A slot refilled by a page with the same hint index, then the original
+  // page again: the hint matches the index but not the page.
+  expectTlbTwins(1, 8192, {3 * P, (3 + H) * P, 3 * P, (3 + H) * P},
+                 "refilled slot");
+}
+
+TEST(FastTlb, CheapHitsMatchRealHits) {
+  for (unsigned Entries : {1u, 4u, 64u}) {
+    Tlb Ref(Entries, 8192);
+    FastTlb Fast(Entries, 8192);
+    uint64_t Stream = 99 + Entries;
+    for (int I = 0; I != 5000; ++I) {
+      uint64_t Addr = nextAddr(Stream) * 64;
+      ASSERT_EQ(Fast.access(Addr), Ref.access(Addr))
+          << Entries << " entries, access " << I;
+      // Same-page re-touches: full lookups on the reference, booked hits on
+      // the fast twin; LRU order must stay identical afterwards.
+      uint64_t N = (Stream >> 40) % 6; // 0..5
+      for (uint64_t K = 0; K != N; ++K)
+        ASSERT_TRUE(Ref.access(Addr));
+      Fast.cheapHits(N);
+    }
   }
 }
 
@@ -267,4 +357,36 @@ TEST(WriteFifo, DrainsInOrder) {
   EXPECT_EQ(W.front(), 50u);
   W.drain(50);
   EXPECT_TRUE(W.empty());
+}
+
+TEST(WriteFifo, MatchesDequeAcrossWraps) {
+  // The simulator's use: push non-decreasing retire cycles while below
+  // capacity, drain by the current cycle. Thousands of operations wrap
+  // the ring many times at each capacity.
+  for (unsigned Capacity : {1u, 2u, 6u}) {
+    WriteFifo W(Capacity);
+    std::deque<uint64_t> D;
+    uint64_t State = Capacity, Cycle = 0;
+    for (int I = 0; I != 20000; ++I) {
+      uint64_t R = nextAddr(State);
+      Cycle += R % 3;
+      if (R % 5 < 3 && D.size() < Capacity) {
+        uint64_t Retire = Cycle + 1 + (R >> 8) % 4;
+        if (!D.empty() && Retire < D.back())
+          Retire = D.back();
+        W.push(Retire);
+        D.push_back(Retire);
+      } else {
+        W.drain(Cycle);
+        while (!D.empty() && D.front() <= Cycle)
+          D.pop_front();
+      }
+      ASSERT_EQ(W.size(), D.size()) << "capacity " << Capacity << " op " << I;
+      ASSERT_EQ(W.empty(), D.empty());
+      if (!D.empty()) {
+        ASSERT_EQ(W.front(), D.front())
+            << "capacity " << Capacity << " op " << I;
+      }
+    }
+  }
 }

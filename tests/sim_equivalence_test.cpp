@@ -1,13 +1,14 @@
 //===- tests/sim_equivalence_test.cpp - Fast vs reference simulator --------===//
 //
 // The twin contract for the simulator rewrite: SimImpl::Fast (predecoded
-// micro-ops, MRU/one-probe memory-system fast paths, run-based fetch) must
+// micro-ops, hinted/one-probe memory-system fast paths, run-based fetch) must
 // reproduce SimImpl::Reference (the preserved seed simulator) bit for bit —
 // every SimResult field, not just the checksum — across the full workload
 // suite and a spread of machine configurations chosen to drive every fast
 // path and its fallback:
 //
-//  * the full 21164 hierarchy (runs the fetch-run and MRU machinery hard);
+//  * the full 21164 hierarchy (runs the fetch-run and TLB-hint machinery
+//    hard);
 //  * the 1993 simple stochastic model (RNG draw ordering);
 //  * PerfectFrontEnd (no fetch modeling at all);
 //  * superscalar widths (issue-group bookkeeping);
@@ -126,16 +127,120 @@ TEST(SimEquivalence, FullRunsToCompletion) {
   }
 }
 
-/// Tiny cycle budgets slice execution at arbitrary points — including
-/// mid-run in the fetch machinery and mid-stall; the partial statistics
-/// must still match exactly at every cut.
+namespace {
+
+/// What a budget cut in front of a dynamic instruction interrupts.
+struct DynInstr {
+  /// Continues the previous instruction's fetch run (same block, I-cache
+  /// line and page), so its fetch was booked at the run's head.
+  bool MidRun;
+  bool Terminator;
+};
+
+/// The first \p N dynamic instructions of \p M under \p C, from an
+/// architectural walk of the module, independent of both cores.
+std::vector<DynInstr> walkDynamic(const ir::Module &M, const MachineConfig &C,
+                                  size_t N) {
+  const ir::Function &F = M.Fn;
+  std::vector<uint64_t> CodeAddr(F.Blocks.size());
+  uint64_t Addr = C.CodeBase;
+  for (const ir::BasicBlock &B : F.Blocks) {
+    CodeAddr[static_cast<size_t>(B.Id)] = Addr;
+    Addr += 4 * B.Instrs.size();
+  }
+  ir::ExecState S(M);
+  std::vector<DynInstr> Trace;
+  int Block = 0;
+  size_t Index = 0;
+  while (Trace.size() < N) {
+    const ir::Instr &In =
+        F.Blocks[static_cast<size_t>(Block)].Instrs[Index];
+    uint64_t A = CodeAddr[static_cast<size_t>(Block)] + 4 * Index;
+    Trace.push_back({Index != 0 &&
+                         A / C.L1I.LineSize == (A - 4) / C.L1I.LineSize &&
+                         A / C.PageSize == (A - 4) / C.PageSize,
+                     In.isTerminator()});
+    if (!In.isTerminator()) {
+      ir::executeInstr(S, In);
+      ++Index;
+      continue;
+    }
+    if (In.Op == ir::Opcode::Ret)
+      break;
+    Block = In.Op == ir::Opcode::Br && S.readInt(In.SrcA) == 0 ? In.Target1
+                                                              : In.Target0;
+    Index = 0;
+  }
+  return Trace;
+}
+
+} // namespace
+
+/// Cycle budgets slice execution at arbitrary points; the partial
+/// statistics must match exactly at every cut. Every cap from 0 to 400 is
+/// tried, so the cuts land where the two cores keep their state
+/// differently: inside a fetch run, whose hits the fast core books at the
+/// run's head, and inside a partly filled issue group. The sweep checks
+/// that it reached both, rather than leave it to luck.
 TEST(SimEquivalence, BudgetCutsAgreeEverywhere) {
   CompileOptions Opts;
   Opts.VerifyPasses = false;
-  lang::Program P = parseWorkload(workloads().front());
-  CompileResult C = compileProgram(P, Opts);
-  ASSERT_TRUE(C.ok()) << C.Error;
-  for (uint64_t Cap : {0ull, 1ull, 7ull, 100ull, 1000ull, 5000ull, 50000ull})
-    expectTwinsAgree(C.M, MachineConfig{}, Cap,
-                     "budget " + std::to_string(Cap));
+  struct Point {
+    const char *Tag;
+    MachineConfig C;
+  };
+  const Point Points[] = {{"21164", MachineConfig{}},
+                          {"w4", widthMachine(4)},
+                          {"starved", starvedMachine()}};
+  constexpr uint64_t MaxDenseCap = 400;
+  const auto &All = workloads();
+  for (size_t WI = 0; WI < All.size() && WI < 2; ++WI) {
+    lang::Program P = parseWorkload(All[WI]);
+    CompileResult C = compileProgram(P, Opts);
+    ASSERT_TRUE(C.ok()) << All[WI].Name << ": " << C.Error;
+    for (const Point &Pt : Points) {
+      const std::string Where =
+          std::string(All[WI].Name) + " [" + Pt.Tag + "]";
+      std::vector<uint64_t> Caps;
+      for (uint64_t Cap = 0; Cap <= MaxDenseCap; ++Cap)
+        Caps.push_back(Cap);
+      for (uint64_t Cap : {1000ull, 5000ull, 50000ull})
+        Caps.push_back(Cap);
+      // Instructions issued before each dense cap's cut.
+      std::vector<uint64_t> Issued;
+      for (uint64_t Cap : Caps) {
+        MachineConfig MC = Pt.C;
+        MC.Impl = SimImpl::Fast;
+        SimResult F = simulate(C.M, MC, Cap);
+        MC.Impl = SimImpl::Reference;
+        SimResult R = simulate(C.M, MC, Cap);
+        ASSERT_EQ(fuzz::diffSimResults(F, R), "")
+            << Where << " budget " << Cap;
+        if (Cap <= MaxDenseCap) {
+          ASSERT_FALSE(R.Finished) << Where << ": finished within the sweep";
+          Issued.push_back(R.Counts.total());
+        }
+      }
+
+      std::vector<DynInstr> Trace =
+          walkDynamic(C.M, Pt.C, Issued.back() + 1);
+      bool CutMidRun = false, CutMidGroup = false;
+      for (uint64_t Cap = 0; Cap != MaxDenseCap; ++Cap) {
+        uint64_t N = Issued[Cap];
+        ASSERT_LT(N, Trace.size()) << Where;
+        CutMidRun |= Trace[N].MidRun;
+        // The next cap's run issues the cut instruction and one more
+        // without leaving the cut's cycle, and the instruction before the
+        // cut was no terminator, which may close its group. So the group
+        // open at the cut held an instruction and had room for the next.
+        CutMidGroup |= N != 0 && Issued[Cap + 1] >= N + 2 &&
+                       !Trace[N - 1].Terminator;
+      }
+      EXPECT_TRUE(CutMidRun) << Where << ": no cut inside a fetch run";
+      if (Pt.C.IssueWidth > 1) {
+        EXPECT_TRUE(CutMidGroup)
+            << Where << ": no cut inside a partly filled issue group";
+      }
+    }
+  }
 }
