@@ -12,7 +12,10 @@
 //    under a PhaseRecorder (support/PhaseRecord.h): the per-phase breakdown
 //    is the pipeline's own record, printed with the share of wall time it
 //    covers, and its result gives the trace core's split
-//    (CompileResult::Trace) and the cleanup counters (CompileResult::Cleanup).
+//    (CompileResult::Trace) and the cleanup counters (CompileResult::Cleanup);
+//  - verified cold: the same cold compile with VerifyPasses on, whose
+//    record gives the pass verifier's share of a verified compile
+//    (verify_share: the verify phase over the compile's wall time).
 //
 // Emits BENCH_compile.json so the trajectory is tracked across PRs, and
 // optionally gates against a checked-in baseline (exit 1 on a >25% drop).
@@ -34,8 +37,10 @@
 //                 for the unroll-8 configurations, and a smaller sustained
 //                 request mix (the CI mode).
 //   --json PATH   where to write BENCH_compile.json (default: cwd).
-//   --baseline    baseline JSON with "min_instrs_per_sec" per config tag;
-//                 exit 1 if any warm throughput falls below 75% of it.
+//   --baseline    baseline JSON with "min_instrs_per_sec" per config tag
+//                 and "max_verify_share"; exit 1 if any warm throughput
+//                 falls below 75% of its entry or the verifier's share of
+//                 the verified cold compiles exceeds the maximum.
 //   --max-threads cap for the thread-scaling sweeps (default 8).
 //   --min-scale F thread-scaling regression gate: exit 1 unless sustained
 //                 throughput at --max-threads workers is at least F x the
@@ -87,8 +92,14 @@ CompileOptions optionsFor(const BenchConfig &C, sched::SchedImpl Impl) {
   O.Scheduler = sched::SchedulerKind::Balanced;
   O.UnrollFactor = C.Unroll;
   O.TraceScheduling = C.Traces;
-  O.VerifyPasses = false; // timing the pipeline; tests/fuzzing verify.
+  O.VerifyPasses = false; // the pipeline alone; verified() adds the verifier.
   O.Balance.Impl = Impl;
+  return O;
+}
+
+/// \p O with the pass verifier on, for the verify_share measurement.
+CompileOptions verified(CompileOptions O) {
+  O.VerifyPasses = true;
   return O;
 }
 
@@ -134,6 +145,14 @@ struct ColdCompile {
   unsigned Instrs = 0;
   trace::TraceStats Trace;
   opt::CleanupStats Cleanup;
+
+  uint64_t verifyNs() const {
+    return PhaseNs[static_cast<unsigned>(Phase::Verify)];
+  }
+  /// The verify phase's share of the wall time (verify_share).
+  double verifyShare() const {
+    return ratio(static_cast<double>(verifyNs()), static_cast<double>(WallNs));
+  }
 };
 
 ColdCompile coldCompile(const Workload &W, const CompileOptions &Opts) {
@@ -165,6 +184,7 @@ struct WorkloadRow {
   std::string Name;
   uint64_t FastNs = 0, RefNs = 0; ///< warm; RefNs 0 when not measured.
   ColdCompile Cold[2];            ///< [0] fast, [1] reference (if RefNs).
+  ColdCompile Verified;           ///< Cold[0] with VerifyPasses on.
 };
 
 struct ConfigRow {
@@ -193,6 +213,11 @@ struct ConfigRow {
     return total([&](auto &R) {
       return R.Cold[Ref].PhaseNs[static_cast<unsigned>(P)];
     });
+  }
+  /// The verify phase's share of the verified cold compiles' wall time.
+  double verifyShare() const {
+    return ratio(total([](auto &R) { return R.Verified.verifyNs(); }),
+                 total([](auto &R) { return R.Verified.WallNs; }));
   }
   /// The share of the cold compiles' wall time that their phases cover.
   double coverage(bool Ref) const {
@@ -416,6 +441,7 @@ int main(int argc, char **argv) {
     for (const Workload &W : workloads()) {
       lang::Program P = parseWorkload(W);
       (void)compileProgram(P, optionsFor(C, sched::SchedImpl::Fast));
+      (void)compileProgram(P, verified(optionsFor(C, sched::SchedImpl::Fast)));
       if (TimeRef)
         (void)compileProgram(P, optionsFor(C, sched::SchedImpl::Reference));
     }
@@ -434,6 +460,7 @@ int main(int argc, char **argv) {
       // The cold compile leaves the profile cache filled for the warm ones.
       CompileOptions Fast = optionsFor(C, sched::SchedImpl::Fast);
       R.Cold[0] = coldCompile(W, Fast);
+      R.Verified = coldCompile(W, verified(Fast));
       R.FastNs = bestOf(Reps, [&] { (void)compileProgram(P, Fast); });
       if (TimeRef) {
         CompileOptions Ref = optionsFor(C, sched::SchedImpl::Reference);
@@ -452,12 +479,15 @@ int main(int argc, char **argv) {
                 "end-to-end speedup %s\n"
                 "                cold phases (ms):%s\n"
                 "                phases cover %.1f%% of cold wall time "
-                "(reference %s)\n",
+                "(reference %s)\n"
+                "                verifier on: verify %.1f%% of cold wall "
+                "time\n",
                 C.Tag.c_str(), Row.instrsPerSec() / 1e3,
                 Row.instrsPerSec(/*Cold=*/true) / 1e3,
                 ratioOr(Row.speedup(), 2, "n/a", "x").c_str(), Phases.c_str(),
                 100.0 * Row.coverage(false),
-                ratioOr(100.0 * Row.coverage(true), 1, "n/a", "%").c_str());
+                ratioOr(100.0 * Row.coverage(true), 1, "n/a", "%").c_str(),
+                100.0 * Row.verifyShare());
     if (C.Traces) {
       auto Ms = [&](uint64_t trace::TraceStats::*Field) {
         return Row.total([&](auto &R) { return R.Cold[0].Trace.*Field; }) / 1e6;
@@ -542,6 +572,15 @@ int main(int argc, char **argv) {
                   Sustained.ProfileCache.InFlightWaits));
 
   // --- Summary --------------------------------------------------------------
+  double VerifyNs = 0, VerifiedNs = 0;
+  for (const ConfigRow &R : Results) {
+    VerifyNs += R.total([](auto &W) { return W.Verified.verifyNs(); });
+    VerifiedNs += R.total([](auto &W) { return W.Verified.WallNs; });
+  }
+  const double VerifyShare = ratio(VerifyNs, VerifiedNs);
+  std::printf("summary: the verifier takes %.1f%% of verified cold compile "
+              "time\n",
+              100.0 * VerifyShare);
   // The scheduler-phase speedup compares the reference and fast records'
   // scheduling phases (trace.schedule and sched.schedule) at the headline.
   const ConfigRow *Headline = nullptr;
@@ -566,7 +605,7 @@ int main(int argc, char **argv) {
   // --- JSON -----------------------------------------------------------------
   {
     std::ostringstream J;
-    J << benchJsonHead("bsched-compile-throughput-v4", MaxThreads);
+    J << benchJsonHead("bsched-compile-throughput-v5", MaxThreads);
     J << "  \"quick\": " << (Quick ? "true" : "false") << ",\n";
     J << "  \"configs\": [\n";
     for (size_t CI = 0; CI != Results.size(); ++CI) {
@@ -585,6 +624,7 @@ int main(int argc, char **argv) {
         << ", \"phase_coverage\": " << ratioOr(R.coverage(false), 3, "null")
         << ", \"ref_phase_coverage\": "
         << ratioOr(R.coverage(true), 3, "null")
+        << ", \"verify_share\": " << fmtDouble(R.verifyShare(), 3)
         << ",\n     \"workloads\": [\n";
       for (size_t WI = 0; WI != R.Rows.size(); ++WI) {
         const WorkloadRow &W = R.Rows[WI];
@@ -596,6 +636,8 @@ int main(int argc, char **argv) {
           << ", \"ref_compile_ns\": " << W.RefNs
           << ", \"cold_compile_ns\": " << W.Cold[0].WallNs
           << ", \"ref_cold_compile_ns\": " << W.Cold[1].WallNs
+          << ", \"verified_cold_compile_ns\": " << W.Verified.WallNs
+          << ", \"verify_share\": " << fmtDouble(W.Verified.verifyShare(), 3)
           << ",\n       \"phases\": " << phasesJson(W.Cold[0])
           << ",\n       \"ref_phases\": " << phasesJson(W.Cold[1])
           << ",\n       \"trace\": {\"form_ns\": " << T.FormNs
@@ -651,15 +693,23 @@ int main(int argc, char **argv) {
       << "\"end_to_end_speedup\": "
       << ratioOr(Headline ? Headline->speedup() : 0.0, 3, "null") << ", "
       << "\"scheduler_phase_speedup\": " << ratioOr(SchedSpeedup, 3, "null")
-      << "}\n}\n";
+      << ", \"verify_share\": " << fmtDouble(VerifyShare, 3) << "}\n}\n";
     if (!writeBenchJson(JsonPath, J.str()))
       return 1;
   }
 
   // --- Baseline gate --------------------------------------------------------
+  // Warm throughput per config tag, and the verifier's share of the verified
+  // cold compiles against "max_verify_share".
   if (!BaselinePath.empty()) {
-    bool Failed = false;
-    for (const auto &[Tag, MinIps] : readBaseline(BaselinePath)) {
+    bool Failed = false, ShareFailed = false;
+    for (const auto &[Tag, Value] : readBaseline(BaselinePath)) {
+      if (Tag == "max_verify_share") {
+        ShareFailed = VerifyShare > Value;
+        std::printf("gate: verify share %.3f (max %.3f) %s\n", VerifyShare,
+                    Value, ShareFailed ? "REGRESSION" : "ok");
+        continue;
+      }
       const ConfigRow *Found = nullptr;
       for (const ConfigRow &R : Results)
         if (R.Config.Tag == Tag)
@@ -670,18 +720,21 @@ int main(int argc, char **argv) {
         continue;
       }
       double Ips = Found->instrsPerSec();
-      double Floor = 0.75 * MinIps;
+      double Floor = 0.75 * Value;
       std::printf("gate: %-12s %10.0f instr/s (baseline %.0f, floor %.0f) %s\n",
-                  Tag.c_str(), Ips, MinIps, Floor,
+                  Tag.c_str(), Ips, Value, Floor,
                   Ips >= Floor ? "ok" : "REGRESSION");
       if (Ips < Floor)
         Failed = true;
     }
-    if (Failed) {
+    if (Failed)
       std::fprintf(stderr,
                    "FAIL: compile throughput regressed >25%% vs baseline\n");
+    if (ShareFailed)
+      std::fprintf(stderr, "FAIL: the verifier's share of a verified compile "
+                           "exceeds max_verify_share\n");
+    if (Failed || ShareFailed)
       return 1;
-    }
   }
 
   // --- Determinism gate -----------------------------------------------------

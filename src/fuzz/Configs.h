@@ -44,7 +44,8 @@ sim::MachineConfig perfectFrontEndMachine();
 sim::MachineConfig widthMachine(unsigned W, bool Pfe = false);
 /// Near-minimal resources: 2-entry TLBs, 2 MSHRs, a 1-entry write buffer,
 /// tiny caches and predictor. Every stall path fires constantly, MSHR and
-/// write-buffer pressure is permanent, and the TLB MRU path thrashes.
+/// write-buffer pressure is permanent, and the 2-entry TLBs miss on most
+/// accesses, so their miss scan and hint re-pointing run constantly.
 sim::MachineConfig starvedMachine();
 /// Non-power-of-two geometry everywhere: set counts of 150/100/1875, a
 /// 1000-byte page. Exercises the division/modulo fallbacks of the fast

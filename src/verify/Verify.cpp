@@ -6,8 +6,10 @@
 #include "regalloc/LinearScan.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -103,6 +105,19 @@ bool sameInstr(const Instr &A, const Instr &B,
          contractTarget(A.Target1, Contract) == B.Target1;
 }
 
+/// A mix of the fields sameInstr compares as they are, so identical
+/// instructions share it; a mismatch rules a candidate out without touching
+/// the instruction.
+uint64_t shapeKey(const Instr &I) {
+  uint64_t K = static_cast<uint64_t>(I.Op);
+  for (uint64_t V :
+       {uint64_t{I.Dst.Id}, uint64_t{I.SrcA.Id}, uint64_t{I.SrcB.Id},
+        uint64_t{I.SrcC.Id}, uint64_t{I.Base.Id}, static_cast<uint64_t>(I.Imm),
+        static_cast<uint64_t>(I.Offset)})
+    K = (K ^ V) * 0x9e3779b97f4a7c15ull;
+  return K;
+}
+
 //===----------------------------------------------------------------------===//
 // Independent dependence recomputation
 //===----------------------------------------------------------------------===//
@@ -112,68 +127,103 @@ bool sameInstr(const Instr &A, const Instr &B,
 /// linear forms are comparable only when their term registers carry equal
 /// definition counts at the respective program points.
 struct InstrFacts {
-  std::vector<Reg> Uses;
+  std::array<Reg, 5> UseRegs; ///< Instr::appendUses: at most 5.
+  uint8_t NumUses = 0;
   Reg Def;
   bool IsMem = false, IsStore = false;
   const MemRef *Mem = nullptr;
-  std::vector<uint32_t> Epochs; ///< parallel to Mem->Terms.
+  /// First of this access's epoch stamps in RegionFacts::Epochs, one per
+  /// Mem->Terms entry.
+  uint32_t Epoch = 0;
+
+  std::span<const Reg> uses() const { return {UseRegs.data(), NumUses}; }
 };
 
-std::vector<InstrFacts> computeFacts(const std::vector<const Instr *> &Region) {
-  std::vector<InstrFacts> F(Region.size());
-  std::map<uint32_t, uint32_t> DefCount;
+/// The facts of one region in Before order, with their epoch stamps in one
+/// array.
+struct RegionFacts {
+  std::vector<InstrFacts> Instrs;
+  std::vector<uint32_t> Epochs;
+
+  /// True when the two memory accesses certainly touch disjoint bytes.
+  bool memDisjoint(const InstrFacts &A, const InstrFacts &B) const {
+    const MemRef &MA = *A.Mem;
+    const MemRef &MB = *B.Mem;
+    if (MA.ArrayId >= 0 && MB.ArrayId >= 0 && MA.ArrayId != MB.ArrayId)
+      return true;
+    if (!MA.sameLinearForm(MB))
+      return false;
+    const uint32_t *EA = Epochs.data() + A.Epoch;
+    const uint32_t *EB = Epochs.data() + B.Epoch;
+    if (!std::equal(EA, EA + MA.Terms.size(), EB, EB + MB.Terms.size()))
+      return false;
+    int64_t Delta = MA.Const - MB.Const;
+    if (Delta < 0)
+      Delta = -Delta;
+    return Delta >= std::max(MA.Size, MB.Size);
+  }
+
+  /// Dependence between \p A and \p B where A precedes B in original
+  /// order: true/anti/output register dependences plus memory dependences
+  /// for pairs involving a store that are not provably disjoint.
+  bool conflictsWith(const InstrFacts &A, const InstrFacts &B) const {
+    if (A.Def.isValid()) {
+      for (Reg R : B.uses())
+        if (R == A.Def)
+          return true; // true dependence
+      if (B.Def.isValid() && B.Def == A.Def)
+        return true; // output dependence
+    }
+    if (B.Def.isValid())
+      for (Reg R : A.uses())
+        if (R == B.Def)
+          return true; // anti dependence
+    if (A.IsMem && B.IsMem && (A.IsStore || B.IsStore) && !memDisjoint(A, B))
+      return true;
+    return false;
+  }
+};
+
+/// Tables indexed by register id, sized once per verified function. Each
+/// user leaves them as it found them, so regions share them without a
+/// clear.
+struct RegScratch {
+  std::vector<uint32_t> DefCount;       ///< all 0 (computeFacts).
+  std::vector<int> LastDef, LastAccess; ///< all -1 (hasInversion).
+
+  explicit RegScratch(unsigned NumRegs)
+      : DefCount(NumRegs, 0), LastDef(NumRegs, -1), LastAccess(NumRegs, -1) {}
+};
+
+RegionFacts computeFacts(const std::vector<const Instr *> &Region,
+                         RegScratch &S) {
+  std::vector<uint32_t> &DefCount = S.DefCount;
+  RegionFacts F;
+  F.Instrs.resize(Region.size());
+  std::vector<Reg> Uses;
   for (size_t I = 0; I != Region.size(); ++I) {
     const Instr &In = *Region[I];
-    In.appendUses(F[I].Uses);
-    F[I].Def = In.def();
-    if (F[I].Def.isValid())
-      ++DefCount[F[I].Def.Id];
+    InstrFacts &X = F.Instrs[I];
+    Uses.clear();
+    In.appendUses(Uses);
+    std::copy(Uses.begin(), Uses.end(), X.UseRegs.begin());
+    X.NumUses = static_cast<uint8_t>(Uses.size());
+    X.Def = In.def();
+    if (X.Def.isValid())
+      ++DefCount[X.Def.Id];
     if (In.isMem()) {
-      F[I].IsMem = true;
-      F[I].IsStore = In.isStore();
-      F[I].Mem = &In.Mem;
-      F[I].Epochs.reserve(In.Mem.Terms.size());
+      X.IsMem = true;
+      X.IsStore = In.isStore();
+      X.Mem = &In.Mem;
+      X.Epoch = static_cast<uint32_t>(F.Epochs.size());
       for (const MemRef::Term &T : In.Mem.Terms)
-        F[I].Epochs.push_back(DefCount[T.RegId]);
+        F.Epochs.push_back(T.RegId < DefCount.size() ? DefCount[T.RegId] : 0);
     }
   }
+  for (const InstrFacts &X : F.Instrs)
+    if (X.Def.isValid())
+      DefCount[X.Def.Id] = 0;
   return F;
-}
-
-/// True when the two memory accesses certainly touch disjoint bytes.
-bool memDisjoint(const InstrFacts &A, const InstrFacts &B) {
-  const MemRef &MA = *A.Mem;
-  const MemRef &MB = *B.Mem;
-  if (MA.ArrayId >= 0 && MB.ArrayId >= 0 && MA.ArrayId != MB.ArrayId)
-    return true;
-  if (!MA.sameLinearForm(MB))
-    return false;
-  if (A.Epochs != B.Epochs)
-    return false;
-  int64_t Delta = MA.Const - MB.Const;
-  if (Delta < 0)
-    Delta = -Delta;
-  return Delta >= std::max(MA.Size, MB.Size);
-}
-
-/// Dependence between \p A and \p B where A precedes B in original order:
-/// true/anti/output register dependences plus memory dependences for pairs
-/// involving a store that are not provably disjoint.
-bool conflictsWith(const InstrFacts &A, const InstrFacts &B) {
-  if (A.Def.isValid()) {
-    for (Reg R : B.Uses)
-      if (R == A.Def)
-        return true; // true dependence
-    if (B.Def.isValid() && B.Def == A.Def)
-      return true; // output dependence
-  }
-  if (B.Def.isValid())
-    for (Reg R : A.Uses)
-      if (R == B.Def)
-        return true; // anti dependence
-  if (A.IsMem && B.IsMem && (A.IsStore || B.IsStore) && !memDisjoint(A, B))
-    return true;
-  return false;
 }
 
 //===----------------------------------------------------------------------===//
@@ -199,12 +249,17 @@ std::vector<int> matchRegion(const std::vector<const Instr *> &BeforeR,
                              const char *What, VerifyResult &R) {
   std::vector<int> Perm(AfterR.size(), -1);
   std::vector<bool> Used(BeforeR.size(), false);
+  std::vector<uint64_t> Keys(BeforeR.size());
+  for (size_t I = 0; I != BeforeR.size(); ++I)
+    Keys[I] = shapeKey(*BeforeR[I]);
   size_t NextUnused = 0;
   bool OK = true;
   for (size_t P = 0; P != AfterR.size(); ++P) {
+    const uint64_t Key = shapeKey(*AfterR[P].I);
     int Found = -1;
     for (size_t I = NextUnused; I != BeforeR.size(); ++I)
-      if (!Used[I] && sameInstr(*AfterR[P].I, *BeforeR[I], Contract)) {
+      if (Keys[I] == Key && !Used[I] &&
+          sameInstr(*AfterR[P].I, *BeforeR[I], Contract)) {
         Found = static_cast<int>(I);
         break;
       }
@@ -232,18 +287,65 @@ std::vector<int> matchRegion(const std::vector<const Instr *> &BeforeR,
   return Perm;
 }
 
-/// Flags every After-order inversion of a Before-order dependence.
+/// True when the schedule (\p InvPos: Before index -> After position)
+/// inverts some pair that conflictsWith: exactly when checkOrder reports.
+/// Register dependences take one pass in Before order that keeps, per
+/// register, the latest After position of an earlier definition and of an
+/// earlier access; memory dependences take a pair scan over the memory
+/// operations only.
+bool hasInversion(const RegionFacts &Facts, const std::vector<int> &InvPos,
+                  RegScratch &S) {
+  const std::vector<InstrFacts> &F = Facts.Instrs;
+  bool Found = false;
+  for (size_t J = 0; J != F.size(); ++J) {
+    const InstrFacts &Y = F[J];
+    const int Pos = InvPos[J];
+    for (Reg U : Y.uses())
+      Found |= S.LastDef[U.Id] > Pos; // true dependence
+    if (Y.Def.isValid())
+      Found |= S.LastAccess[Y.Def.Id] > Pos; // output or anti dependence
+    for (Reg U : Y.uses())
+      S.LastAccess[U.Id] = std::max(S.LastAccess[U.Id], Pos);
+    if (Y.Def.isValid()) {
+      S.LastDef[Y.Def.Id] = std::max(S.LastDef[Y.Def.Id], Pos);
+      S.LastAccess[Y.Def.Id] = std::max(S.LastAccess[Y.Def.Id], Pos);
+    }
+  }
+  std::vector<size_t> Mem;
+  for (size_t J = 0; J != F.size(); ++J) {
+    for (Reg U : F[J].uses())
+      S.LastAccess[U.Id] = -1;
+    if (F[J].Def.isValid())
+      S.LastDef[F[J].Def.Id] = S.LastAccess[F[J].Def.Id] = -1;
+    if (F[J].IsMem)
+      Mem.push_back(J);
+  }
+  for (size_t B = 0; B != Mem.size() && !Found; ++B)
+    for (size_t A = 0; A != B && !Found; ++A) {
+      const InstrFacts &X = F[Mem[A]], &Y = F[Mem[B]];
+      Found = InvPos[Mem[A]] > InvPos[Mem[B]] && (X.IsStore || Y.IsStore) &&
+              !Facts.memDisjoint(X, Y);
+    }
+  return Found;
+}
+
+/// Flags every After-order inversion of a Before-order dependence. A legal
+/// schedule has none, which hasInversion proves without this pair scan over
+/// the whole region; the scan runs only to word the diagnostics.
 void checkOrder(const std::vector<const Instr *> &BeforeR,
-                const std::vector<InstrFacts> &Facts,
+                const RegionFacts &Facts,
                 const std::vector<AfterInstr> &AfterR,
-                const std::vector<int> &Perm, VerifyResult &R) {
+                const std::vector<int> &Perm, const std::vector<int> &InvPos,
+                RegScratch &S, VerifyResult &R) {
+  if (!hasInversion(Facts, InvPos, S))
+    return;
   int Reported = 0;
   for (size_t Q = 0; Q != AfterR.size(); ++Q) {
     for (size_t P = 0; P != Q; ++P) {
       int BI = Perm[P], BJ = Perm[Q];
       if (BI <= BJ)
         continue;
-      if (!conflictsWith(Facts[BJ], Facts[BI]))
+      if (!Facts.conflictsWith(Facts.Instrs[BJ], Facts.Instrs[BI]))
         continue;
       R.add(Check::Schedule, AfterR[P].Block, AfterR[P].Index,
             "'" + printInstr(*BeforeR[BI]) + "' was scheduled above '" +
@@ -316,6 +418,7 @@ VerifyResult verify::verifySchedule(const Module &Before,
               std::to_string(AF.Blocks.size()));
     return R;
   }
+  RegScratch Scratch(BF.numRegs());
   for (size_t B = 0; B != BF.Blocks.size(); ++B) {
     const std::vector<Instr> &BIns = BF.Blocks[B].Instrs;
     const std::vector<Instr> &AIns = AF.Blocks[B].Instrs;
@@ -337,11 +440,11 @@ VerifyResult verify::verifySchedule(const Module &Before,
       R.add(Check::Schedule, static_cast<int>(B),
             static_cast<int>(AfterR.size()) - 1,
             "the block terminator is no longer the last instruction");
-    std::vector<InstrFacts> Facts = computeFacts(BeforeR);
+    RegionFacts Facts = computeFacts(BeforeR, Scratch);
     std::vector<int> InvPos(BeforeR.size(), -1);
     for (size_t P = 0; P != Perm.size(); ++P)
       InvPos[Perm[P]] = static_cast<int>(P);
-    checkOrder(BeforeR, Facts, AfterR, Perm, R);
+    checkOrder(BeforeR, Facts, AfterR, Perm, InvPos, Scratch, R);
     checkLocalityOrder(BeforeR, AfterR, Perm, InvPos, R);
   }
   return R;
@@ -403,6 +506,7 @@ verify::verifyTraceSchedule(const Module &Before, const Module &After,
   }
 
   Liveness L = computeLiveness(BF);
+  RegScratch Scratch(BF.numRegs());
 
   for (const std::vector<int> &T : Traces) {
     const size_t K = T.size();
@@ -456,8 +560,8 @@ verify::verifyTraceSchedule(const Module &Before, const Module &After,
     for (size_t P = 0; P != Perm.size(); ++P)
       InvPos[Perm[P]] = static_cast<int>(P);
 
-    std::vector<InstrFacts> Facts = computeFacts(BeforeR);
-    checkOrder(BeforeR, Facts, AfterR, Perm, R);
+    RegionFacts Facts = computeFacts(BeforeR, Scratch);
+    checkOrder(BeforeR, Facts, AfterR, Perm, InvPos, Scratch, R);
     checkLocalityOrder(BeforeR, AfterR, Perm, InvPos, R);
 
     // Each segment must end with the terminator of the block it replaces:
@@ -622,6 +726,8 @@ public:
     }
     SpillBytes =
         After.Arrays[static_cast<size_t>(After.SpillArrayId)].sizeBytes();
+    Assign.assign(BF.numRegs(), Reg::InvalidId);
+    UniqueConstDef.assign(BF.numRegs(), nullptr);
     collectRematCandidates();
     for (size_t B = 0; B != BF.Blocks.size(); ++B)
       walkBlock(static_cast<int>(B));
@@ -638,14 +744,19 @@ private:
   VerifyResult R;
   int64_t SpillBytes = 0;
 
-  /// vreg id -> physical register id (non-scratch assignments observed).
-  std::map<uint32_t, uint32_t> Assign;
+  /// Before register id -> physical register id of the non-scratch
+  /// assignment observed, or Reg::InvalidId.
+  std::vector<uint32_t> Assign;
   /// vreg id <-> spill-slot byte offset, from spill stores at definitions.
   std::map<uint32_t, int64_t> SlotOfVReg;
   std::map<int64_t, uint32_t> VRegOfSlot;
-  /// vreg id -> its unique LdI/FLdI definition in Before, if any.
-  std::map<uint32_t, const Instr *> UniqueConstDef;
-  std::map<uint32_t, int> BeforeDefCount;
+  /// Before register id -> its unique LdI/FLdI definition, or null.
+  std::vector<const Instr *> UniqueConstDef;
+  /// The current instruction's restore/remat preamble by physical register
+  /// id: the load into that scratch register and its index. Only scratch
+  /// entries are ever written, and walkBlock nulls them per instruction.
+  std::array<const Instr *, NumPhysTotal> Pre{};
+  std::array<int, NumPhysTotal> PreIdx{};
 
   struct RestoreClaim {
     uint32_t VReg;
@@ -676,21 +787,28 @@ private:
     return P == physIntReg(regalloc::FrameBaseReg);
   }
 
-  bool rematable(uint32_t V) const {
-    auto It = UniqueConstDef.find(V);
-    return It != UniqueConstDef.end();
-  }
-
   void collectRematCandidates() {
+    std::vector<int> DefCount(Before.Fn.numRegs(), 0);
     for (const BasicBlock &B : Before.Fn.Blocks)
       for (const Instr &In : B.Instrs)
-        if (Reg D = In.def(); D.isVirtual()) {
-          if (++BeforeDefCount[D.Id] == 1 &&
-              (In.Op == Opcode::LdI || In.Op == Opcode::FLdI))
-            UniqueConstDef[D.Id] = &In;
-          else
-            UniqueConstDef.erase(D.Id);
-        }
+        if (Reg D = In.def(); D.isVirtual())
+          UniqueConstDef[D.Id] =
+              ++DefCount[D.Id] == 1 &&
+                      (In.Op == Opcode::LdI || In.Op == Opcode::FLdI)
+                  ? &In
+                  : nullptr;
+  }
+
+  /// Records that virtual \p V lives in physical \p P; a second, different
+  /// register for the same value is a diagnostic.
+  void assign(Reg V, Reg P, int B, int Idx) {
+    uint32_t &A = Assign[V.Id];
+    if (A == Reg::InvalidId)
+      A = P.Id;
+    else if (A != P.Id)
+      R.add(Check::RegAlloc, B, Idx,
+            regName(V) + " was assigned both " + regName(Reg(A)) + " and " +
+                regName(P));
   }
 
   /// Checks that a spill or restore addresses a real slot of the spill area
@@ -732,10 +850,9 @@ private:
   }
 
   /// Records the claims made by mapping virtual \p BR to physical \p AR at
-  /// a use site; \p Pre holds this instruction's restore/remat preamble
-  /// keyed by scratch register id.
-  void mapUse(Reg BR, Reg AR, const std::map<uint32_t, const Instr *> &Pre,
-              const std::map<uint32_t, int> &PreIdx, int B, int Idx) {
+  /// a use site; a scratch \p AR must be loaded by this instruction's
+  /// preamble (Pre).
+  void mapUse(Reg BR, Reg AR, int B, int Idx) {
     if (!BR.isValid()) {
       if (AR.isValid())
         R.add(Check::RegAlloc, B, Idx, "operand appeared out of nowhere");
@@ -761,18 +878,17 @@ private:
       return;
     }
     if (isScratch(AR)) {
-      auto It = Pre.find(AR.Id);
-      if (It == Pre.end()) {
+      const Instr *P = Pre[AR.Id];
+      if (!P) {
         R.add(Check::RegAlloc, B, Idx,
               "use of spilled " + regName(BR) +
                   " without a restore in this instruction's preamble");
         return;
       }
-      const Instr &P = *It->second;
-      if (P.IsRemat)
-        RematClaims.push_back({BR.Id, &P, B, PreIdx.at(AR.Id)});
+      if (P->IsRemat)
+        RematClaims.push_back({BR.Id, P, B, PreIdx[AR.Id]});
       else
-        RestoreClaims.push_back({BR.Id, P.Offset, B, PreIdx.at(AR.Id)});
+        RestoreClaims.push_back({BR.Id, P->Offset, B, PreIdx[AR.Id]});
       return;
     }
     if (isFrameBase(AR)) {
@@ -785,11 +901,7 @@ private:
             regName(AR) + " is outside the allocatable range");
       return;
     }
-    auto [It, Inserted] = Assign.try_emplace(BR.Id, AR.Id);
-    if (!Inserted && It->second != AR.Id)
-      R.add(Check::RegAlloc, B, Idx,
-            regName(BR) + " was assigned both " + regName(Reg(It->second)) +
-                " and " + regName(AR));
+    assign(BR, AR, B, Idx);
   }
 
   void walkBlock(int B) {
@@ -820,8 +932,10 @@ private:
       const Instr &BI = BIns[I];
 
       // Restore/remat preamble: loads of spilled values into scratches.
-      std::map<uint32_t, const Instr *> Pre;
-      std::map<uint32_t, int> PreIdx;
+      for (unsigned S : regalloc::SpillScratchRegs) {
+        Pre[S] = nullptr;
+        Pre[NumPhysPerClass + S] = nullptr;
+      }
       while (J != AIns.size() && (AIns[J].IsRestore || AIns[J].IsRemat)) {
         const Instr &P = AIns[J];
         if (!P.Dst.isPhys() || !isScratch(P.Dst)) {
@@ -859,10 +973,10 @@ private:
         break;
       }
 
-      mapUse(BI.SrcA, AI.SrcA, Pre, PreIdx, B, APos);
-      mapUse(BI.SrcB, AI.SrcB, Pre, PreIdx, B, APos);
-      mapUse(BI.SrcC, AI.SrcC, Pre, PreIdx, B, APos);
-      mapUse(BI.Base, AI.Base, Pre, PreIdx, B, APos);
+      mapUse(BI.SrcA, AI.SrcA, B, APos);
+      mapUse(BI.SrcB, AI.SrcB, B, APos);
+      mapUse(BI.SrcC, AI.SrcC, B, APos);
+      mapUse(BI.Base, AI.Base, B, APos);
 
       // Destination mapping. Conditional moves also read the old value, so
       // a spilled CMov destination must have been restored in the preamble.
@@ -882,7 +996,7 @@ private:
             SpilledDef = true;
             DefV = BD.Id;
             if (ReadsDst)
-              mapUse(BD, AD, Pre, PreIdx, B, APos);
+              mapUse(BD, AD, B, APos);
           } else if (isFrameBase(AD)) {
             R.add(Check::RegAlloc, B, APos,
                   "frame base register clobbered by a definition");
@@ -890,11 +1004,7 @@ private:
             R.add(Check::RegAlloc, B, APos,
                   regName(AD) + " is outside the allocatable range");
           } else {
-            auto [It, Inserted] = Assign.try_emplace(BD.Id, AD.Id);
-            if (!Inserted && It->second != AD.Id)
-              R.add(Check::RegAlloc, B, APos,
-                    regName(BD) + " was assigned both " +
-                        regName(Reg(It->second)) + " and " + regName(AD));
+            assign(BD, AD, B, APos);
           }
         } else if (!(AI.Dst == BD)) {
           R.add(Check::RegAlloc, B, APos, "physical destination rewritten");
@@ -957,20 +1067,19 @@ private:
                   std::to_string(It->second));
     }
     for (const RematClaim &C : RematClaims) {
-      auto It = UniqueConstDef.find(C.VReg);
-      if (It == UniqueConstDef.end()) {
+      const Instr *Def = UniqueConstDef[C.VReg];
+      if (!Def) {
         R.add(Check::RegAlloc, C.Block, C.Idx,
               "rematerialization of " + regName(Reg(C.VReg)) +
                   ", which is not a uniquely-defined constant");
-      } else if (C.Remat->Op != It->second->Op ||
-                 C.Remat->Imm != It->second->Imm) {
+      } else if (C.Remat->Op != Def->Op || C.Remat->Imm != Def->Imm) {
         R.add(Check::RegAlloc, C.Block, C.Idx,
               "rematerialized value differs from the defining '" +
-                  printInstr(*It->second) + "'");
+                  printInstr(*Def) + "'");
       }
     }
     for (const NoSpillClaim &C : NoSpillClaims)
-      if (!rematable(C.VReg))
+      if (!UniqueConstDef[C.VReg])
         R.add(Check::RegAlloc, C.Block, C.Idx,
               "spilled definition of " + regName(Reg(C.VReg)) +
                   " has no spill store and is not rematerializable");
@@ -980,41 +1089,53 @@ private:
   /// no other live virtual register may share the defined register's
   /// physical assignment. Precise liveness is a subset of the allocator's
   /// interval hulls, so a correct allocation can never be flagged.
+  ///
+  /// LiveOn counts the live values per physical register, so a definition
+  /// whose register holds no other live value costs O(1); only a conflict
+  /// scans the live set, to word its diagnostics.
   void checkInterference() {
     const Function &BF = Before.Fn;
     Liveness L = computeLiveness(BF);
     std::set<std::pair<uint32_t, uint32_t>> Seen;
     std::vector<Reg> Uses;
+    BitVec Live;
+    std::array<int, NumPhysTotal> LiveOn;
+    auto Count = [&](unsigned U, int Delta) {
+      if (Assign[U] != Reg::InvalidId)
+        LiveOn[Assign[U]] += Delta;
+    };
     for (const BasicBlock &B : BF.Blocks) {
-      BitVec Live = L.LiveOut[B.Id];
+      Live = L.LiveOut[B.Id];
+      LiveOn.fill(0);
+      Live.forEach([&](unsigned U) { Count(U, 1); });
       for (size_t I = B.Instrs.size(); I-- > 0;) {
         const Instr &In = B.Instrs[I];
         Reg D = In.def();
-        if (D.isVirtual()) {
-          auto DIt = Assign.find(D.Id);
-          if (DIt != Assign.end()) {
-            Live.forEach([&](unsigned U) {
-              if (U == D.Id || !Reg(U).isVirtual())
-                return;
-              auto UIt = Assign.find(U);
-              if (UIt == Assign.end() || UIt->second != DIt->second)
-                return;
-              auto Key = std::minmax(D.Id, U);
-              if (Seen.insert({Key.first, Key.second}).second)
-                R.add(Check::RegAlloc, B.Id, static_cast<int>(I),
-                      regName(D) + " and " + regName(Reg(U)) +
-                          " are simultaneously live but share " +
-                          regName(Reg(DIt->second)));
-            });
-          }
+        if (D.isVirtual() && Assign[D.Id] != Reg::InvalidId &&
+            LiveOn[Assign[D.Id]] > (Live.test(D.Id) ? 1 : 0)) {
+          const uint32_t P = Assign[D.Id];
+          Live.forEach([&](unsigned U) {
+            if (U == D.Id || !Reg(U).isVirtual() || Assign[U] != P)
+              return;
+            auto Key = std::minmax(D.Id, U);
+            if (Seen.insert({Key.first, Key.second}).second)
+              R.add(Check::RegAlloc, B.Id, static_cast<int>(I),
+                    regName(D) + " and " + regName(Reg(U)) +
+                        " are simultaneously live but share " +
+                        regName(Reg(P)));
+          });
         }
-        if (D.isValid() && D.Id < Live.size())
+        if (D.isValid() && D.Id < Live.size() && Live.test(D.Id)) {
           Live.reset(D.Id);
+          Count(D.Id, -1);
+        }
         Uses.clear();
         In.appendUses(Uses);
         for (Reg U : Uses)
-          if (U.Id < Live.size())
+          if (U.Id < Live.size() && !Live.test(U.Id)) {
             Live.set(U.Id);
+            Count(U.Id, 1);
+          }
       }
     }
   }

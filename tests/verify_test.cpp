@@ -1,18 +1,25 @@
 //===- tests/verify_test.cpp - Static verifier subsystem tests -------------===//
 //
-// Two halves:
+// Three parts:
 //  - Positive: the real pipeline, over all 17 workloads and every fuzzing
 //    configuration, must produce zero diagnostics (the verifier is wired
 //    into driver::compileProgram and a diagnostic is a hard compile error).
 //  - Negative: hand-constructed illegal modules must make each check fire
 //    with a diagnostic localized to the offending block/instruction. These
 //    prove the verifier is not vacuously happy.
+//  - Pinned: one digest over every report of a seeded mutation sweep of
+//    real compiles, so a diagnostic's kind, position, text or order cannot
+//    change unnoticed.
 //
 //===----------------------------------------------------------------------===//
 
 #include "driver/Compiler.h"
+#include "driver/ProfileCache.h"
 #include "driver/Workloads.h"
 #include "ir/IRParser.h"
+#include "support/RNG.h"
+#include "support/Serialize.h"
+#include "trace/Trace.h"
 #include "verify/Verify.h"
 
 #include <gtest/gtest.h>
@@ -298,6 +305,103 @@ TEST(VerifyRegAlloc, InterferenceCaught) {
   EXPECT_GE(It->Instr, 0);
 }
 
+// The interference check's diagnostics, pinned whole: text, position and
+// order (blocks in order, each walked bottom-up; at one definition the other
+// values in increasing register id), each pair reported once.
+
+TEST(VerifyRegAlloc, ConflictLiveOnlyThroughLiveOutCaught) {
+  // v0 is never used in b0, so it is live at v1's definition only because
+  // b0's live-out set says so.
+  Module B = parse("func f\n"
+                   "b0:\n"
+                   "  ldi v0, 1\n"
+                   "  ldi v1, 2\n"
+                   "  jmp b1\n"
+                   "b1:\n"
+                   "  add v2, v0, v1\n"
+                   "  ret\n");
+  EXPECT_TRUE(verifyRegAlloc(B, handAllocate(B, {{0, 0}, {1, 1}, {2, 2}}), 28)
+                  .ok());
+  VerifyResult R =
+      verifyRegAlloc(B, handAllocate(B, {{0, 0}, {1, 0}, {2, 2}}), 28);
+  EXPECT_EQ(R.report(), "b0[1]: v1 and v0 are simultaneously live but share "
+                        "r0 [regalloc]\n");
+}
+
+TEST(VerifyRegAlloc, ThreeValuesOnOneRegisterReportEachPairOnce) {
+  // v0, v1 and v2 all sit on r0. At v2's definition both others are live;
+  // the pair (v1, v0) meets at v1's second definition and again at its
+  // first, but is reported once.
+  Module B = parse("func f\n"
+                   "b0:\n"
+                   "  ldi v0, 1\n"
+                   "  ldi v1, 2\n"
+                   "  ldi v2, 3\n"
+                   "  add v3, v0, v1\n"
+                   "  add v3, v3, v2\n"
+                   "  ldi v1, 5\n"
+                   "  add v3, v3, v1\n"
+                   "  add v3, v3, v0\n"
+                   "  ret\n");
+  VerifyResult R =
+      verifyRegAlloc(B, handAllocate(B, {{0, 0}, {1, 0}, {2, 0}, {3, 1}}), 28);
+  EXPECT_EQ(R.report(),
+            "b0[5]: v1 and v0 are simultaneously live but share r0 [regalloc]\n"
+            "b0[2]: v2 and v0 are simultaneously live but share r0 [regalloc]\n"
+            "b0[2]: v2 and v1 are simultaneously live but share r0 "
+            "[regalloc]\n");
+}
+
+TEST(VerifyRegAlloc, ConditionalMoveReadsItsDestination) {
+  // The conditional move both kills and reads its destination v1, so v1 is
+  // live above it and v2's definition on v1's register conflicts.
+  for (const char *Op : {"cmov", "fcmov"}) {
+    bool Fp = Op[0] == 'f';
+    std::string Text = std::string("func f\n"
+                                   "b0:\n"
+                                   "  ldi v0, 1\n") +
+                       (Fp ? "  fldi v1, 2.0\n  fldi v2, 3.0\n"
+                           : "  ldi v1, 2\n  ldi v2, 3\n") +
+                       "  " + Op + " v1, v0, v2\n" +
+                       (Fp ? "  fadd v3, v1, v1\n" : "  add v3, v1, v1\n") +
+                       "  ret\n";
+    Module B = parse(Text.c_str());
+    uint32_t Cls = Fp ? NumPhysPerClass : 0;
+    EXPECT_TRUE(verifyRegAlloc(B,
+                               handAllocate(B, {{0, 0},
+                                                {1, Cls + 1},
+                                                {2, Cls + 2},
+                                                {3, Cls + 3}}),
+                               28)
+                    .ok())
+        << Op;
+    VerifyResult R = verifyRegAlloc(
+        B, handAllocate(B, {{0, 0}, {1, Cls + 1}, {2, Cls + 1}, {3, Cls + 3}}),
+        28);
+    EXPECT_EQ(R.report(), std::string("b0[2]: v2 and v1 are simultaneously "
+                                      "live but share ") +
+                              (Fp ? "f1" : "r1") + " [regalloc]\n")
+        << Op;
+  }
+}
+
+TEST(VerifyRegAlloc, IntAndFpWithSameLocalIndexDoNotConflict) {
+  // r3 and f3 are different registers: v0 and v1 are live together but
+  // never share one.
+  Module B = parse("func f\n"
+                   "b0:\n"
+                   "  ldi v0, 1\n"
+                   "  fldi v1, 2.0\n"
+                   "  add v2, v0, #1\n"
+                   "  fadd v3, v1, v1\n"
+                   "  ret\n");
+  VerifyResult R = verifyRegAlloc(
+      B, handAllocate(B, {{0, 3}, {1, NumPhysPerClass + 3}, {2, 4},
+                          {3, NumPhysPerClass + 4}}),
+      28);
+  EXPECT_TRUE(R.ok()) << R.report();
+}
+
 TEST(VerifyRegAlloc, RestoreFromNeverSpilledSlotCaught) {
   Module B = parse(TwoValues);
   Module A = handAllocate(B, {{0, 0}, {1, 1}, {2, 2}});
@@ -513,4 +617,147 @@ TEST(VerifyTrace, DownwardMotionCaught) {
   EXPECT_TRUE(hasDiag(R, Check::Compensation, "below its home", 2) ||
               hasDiag(R, Check::Schedule, "despite a dependence", 0))
       << R.report();
+}
+
+//===----------------------------------------------------------------------===//
+// Pinned: every report of a seeded mutation sweep over real compiles.
+//===----------------------------------------------------------------------===//
+//
+// hasDiag matches by substring, so it cannot notice a diagnostic whose
+// wording, position or order changed. This sweep compiles every workload at
+// unroll 1, 4 and 8, breaks the passes' output in a fixed, seeded way and
+// folds every report() into one FNV-1a digest:
+//  - block schedules (sched::scheduleFunction) and trace schedules with
+//    nearby instruction pairs swapped, some legally;
+//  - allocations under 28 and under 6 registers per class with one
+//    definition or use rewritten to another allocatable register, or one
+//    spill or restore moved to the neighbouring slot.
+
+namespace {
+
+/// Every report of a sweep, folded in order.
+struct ReportLog {
+  Fnv1a Digest;
+  size_t Reports = 0, Diags = 0, Interference = 0, Failing = 0;
+
+  void add(const VerifyResult &R) {
+    Digest.str(R.report());
+    Digest.byte(0);
+    ++Reports;
+    Diags += R.Diags.size();
+    Failing += !R.ok();
+    for (const Diagnostic &D : R.Diags)
+      Interference +=
+          D.Message.find("simultaneously live") != std::string::npos;
+  }
+};
+
+/// Swaps \p N pairs of instructions, each within one block and at most
+/// eight slots apart; the first of each pair is drawn over all instructions,
+/// so big blocks take most swaps.
+void swapPairs(Module &M, RNG &Rng, int N) {
+  std::vector<std::pair<size_t, size_t>> Firsts; // (block, index)
+  for (size_t B = 0; B != M.Fn.Blocks.size(); ++B)
+    for (size_t I = 0; I + 1 < M.Fn.Blocks[B].Instrs.size(); ++I)
+      Firsts.emplace_back(B, I);
+  if (Firsts.empty())
+    return;
+  for (int K = 0; K != N; ++K) {
+    auto [B, I] = Firsts[Rng.nextBelow(Firsts.size())];
+    std::vector<Instr> &Ins = M.Fn.Blocks[B].Instrs;
+    size_t J = I + 1 + Rng.nextBelow(std::min<size_t>(8, Ins.size() - 1 - I));
+    std::swap(Ins[I], Ins[J]);
+  }
+}
+
+/// Rewrites one allocatable register operand of an allocated instruction
+/// (spill traffic and remats aside) to another allocatable register of the
+/// same class.
+void rewriteOperand(Module &M, unsigned Allocatable, RNG &Rng) {
+  std::vector<Reg *> Ops;
+  for (BasicBlock &B : M.Fn.Blocks)
+    for (Instr &I : B.Instrs)
+      if (!I.IsSpill && !I.IsRestore && !I.IsRemat)
+        for (Reg *R : {&I.Dst, &I.SrcA, &I.SrcB, &I.SrcC, &I.Base})
+          if (R->isPhys() && R->Id % NumPhysPerClass < Allocatable)
+            Ops.push_back(R);
+  if (Ops.empty())
+    return;
+  Reg &R = *Ops[Rng.nextBelow(Ops.size())];
+  uint32_t Local = R.Id % NumPhysPerClass;
+  uint32_t To = static_cast<uint32_t>(Rng.nextBelow(Allocatable - 1));
+  if (To >= Local)
+    ++To;
+  R = Reg(R.Id - Local + To);
+}
+
+/// Moves one spill or restore of \p M to the slot 8 bytes above or below;
+/// false when \p M has no spill traffic.
+bool moveSlot(Module &M, RNG &Rng) {
+  std::vector<Instr *> Traffic;
+  for (BasicBlock &B : M.Fn.Blocks)
+    for (Instr &I : B.Instrs)
+      if (I.IsSpill || I.IsRestore)
+        Traffic.push_back(&I);
+  if (Traffic.empty())
+    return false;
+  Instr &I = *Traffic[Rng.nextBelow(Traffic.size())];
+  int64_t D = Rng.nextBool(0.5) ? 8 : -8;
+  I.Offset += D;
+  I.Mem.Const += D;
+  return true;
+}
+
+} // namespace
+
+TEST(VerifyDigest, SeededMutationsPinEveryReport) {
+  RNG Rng(0x5eed);
+  ReportLog Log;
+  for (const driver::Workload &W : driver::workloads()) {
+    lang::Program P = driver::parseWorkload(W);
+    for (int LU : {1, 4, 8}) {
+      driver::CompileOptions O;
+      O.UnrollFactor = LU;
+      driver::CompileResult FE = driver::compileFrontEnd(P, O);
+      ASSERT_TRUE(FE.ok()) << W.Name << ": " << FE.Error;
+      const Module &Before = FE.M;
+
+      Module Sched = Before;
+      sched::scheduleFunction(Sched, O.Scheduler, O.Balance);
+      Module Traced = Before;
+      trace::TraceStats T = trace::traceScheduleFunction(
+          Traced, driver::profileModule(Before), O.Scheduler, O.Balance);
+      for (int K = 0; K != 16; ++K) {
+        Module A = Sched;
+        swapPairs(A, Rng, K % 4);
+        Log.add(verifySchedule(Before, A));
+        Module AT = Traced;
+        swapPairs(AT, Rng, K % 4);
+        Log.add(verifyTraceSchedule(Before, AT, T.Formed));
+      }
+
+      for (unsigned Alloc : {28u, 6u}) {
+        regalloc::RegAllocOptions RO;
+        RO.AllocatablePerClass = Alloc;
+        Module Allocated = Sched;
+        ASSERT_TRUE(regalloc::allocateRegisters(Allocated, RO).ok()) << W.Name;
+        Log.add(verifyRegAlloc(Sched, Allocated, Alloc));
+        for (int K = 0; K != 16; ++K) {
+          Module A = Allocated;
+          rewriteOperand(A, Alloc, Rng);
+          Log.add(verifyRegAlloc(Sched, A, Alloc));
+        }
+        for (int K = 0; K != 8; ++K) {
+          Module A = Allocated;
+          if (moveSlot(A, Rng))
+            Log.add(verifyRegAlloc(Sched, A, Alloc));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(Log.Reports, 3862u);
+  EXPECT_EQ(Log.Failing, 3056u);
+  EXPECT_EQ(Log.Diags, 6169u);
+  EXPECT_EQ(Log.Interference, 515u);
+  EXPECT_EQ(Log.Digest.get(), 10053969389430207812ull);
 }
