@@ -9,70 +9,16 @@ using namespace bsched;
 using namespace bsched::ir;
 
 Liveness ir::computeLiveness(const Function &F) {
-  unsigned NumRegs = F.numRegs();
-  size_t NumBlocks = F.Blocks.size();
-  size_t W = (NumRegs + 63) / 64;
-
-  // All four dataflow sets live in flat NumBlocks x W word arrays: four
-  // allocations total instead of one BitVec per block per set, and the
-  // fixpoint below runs as plain word loops. Cleanup recomputes liveness
-  // many times per compile, so constant overhead here is hot.
-  std::vector<uint64_t> Use(NumBlocks * W, 0), Def(NumBlocks * W, 0);
-  std::vector<uint64_t> In(NumBlocks * W, 0), Out(NumBlocks * W, 0);
-  auto SetBit = [](uint64_t *Row, uint32_t I) {
-    Row[I / 64] |= 1ull << (I % 64);
-  };
-  auto TestBit = [](const uint64_t *Row, uint32_t I) {
-    return (Row[I / 64] >> (I % 64)) & 1;
-  };
-
-  // Per-block Use (upward-exposed reads) and Def (writes) sets.
-  std::vector<Reg> Uses;
-  for (size_t B = 0; B != NumBlocks; ++B) {
-    uint64_t *UseB = Use.data() + B * W, *DefB = Def.data() + B * W;
-    for (const Instr &I : F.Blocks[B].Instrs) {
-      Uses.clear();
-      I.appendUses(Uses);
-      for (Reg R : Uses)
-        if (!TestBit(DefB, R.Id))
-          SetBit(UseB, R.Id);
-      // CMov-style partial writes already appear in Uses; a definition after
-      // that still kills downward exposure.
-      if (Reg D = I.def(); D.isValid())
-        SetBit(DefB, D.Id);
-    }
-  }
-
-  std::vector<uint64_t> Scratch(W);
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (size_t BI = NumBlocks; BI-- > 0;) {
-      uint64_t *OutB = Out.data() + BI * W, *InB = In.data() + BI * W;
-      std::memset(Scratch.data(), 0, W * sizeof(uint64_t));
-      for (int S : F.Blocks[BI].successors()) {
-        const uint64_t *InS = In.data() + size_t(S) * W;
-        for (size_t I = 0; I != W; ++I)
-          Scratch[I] |= InS[I];
-      }
-      const uint64_t *UseB = Use.data() + BI * W, *DefB = Def.data() + BI * W;
-      for (size_t I = 0; I != W; ++I) {
-        uint64_t O = Scratch[I];
-        uint64_t N = (O & ~DefB[I]) | UseB[I];
-        Changed |= O != OutB[I] || N != InB[I];
-        OutB[I] = O;
-        InB[I] = N;
-      }
-    }
-  }
-
+  LivenessTracker T;
+  T.compute(F);
+  size_t NumBlocks = T.numBlocks(), W = T.words();
   Liveness L;
-  L.LiveIn.assign(NumBlocks, BitVec(NumRegs));
-  L.LiveOut.assign(NumBlocks, BitVec(NumRegs));
+  L.LiveIn.assign(NumBlocks, BitVec(F.numRegs()));
+  L.LiveOut.assign(NumBlocks, BitVec(F.numRegs()));
   for (size_t B = 0; W != 0 && B != NumBlocks; ++B) {
-    std::memcpy(L.LiveIn[B].words().data(), In.data() + B * W,
+    std::memcpy(L.LiveIn[B].words().data(), T.liveInRow(static_cast<int>(B)),
                 W * sizeof(uint64_t));
-    std::memcpy(L.LiveOut[B].words().data(), Out.data() + B * W,
+    std::memcpy(L.LiveOut[B].words().data(), T.liveOutRow(static_cast<int>(B)),
                 W * sizeof(uint64_t));
   }
   return L;
@@ -93,15 +39,16 @@ void LivenessTracker::rebuildGenKill(const Function &F, int Block) {
     for (Reg R : UsesScratch)
       if (!testBit(DefB, R.Id))
         UseB[R.Id / 64] |= 1ull << (R.Id % 64);
+    // CMov-style partial writes already appear in the uses; a definition
+    // after that still kills downward exposure.
     if (Reg D = I.def(); D.isValid())
       DefB[D.Id / 64] |= 1ull << (D.Id % 64);
   }
 }
 
-/// Round-robin fixpoint restricted to \p Blocks (descending block id, the
-/// same visit order compute() uses over the whole function). Out rows of
-/// successors outside \p Blocks are read but never written — they hold the
-/// still-valid remainder of the solution.
+/// Round-robin fixpoint restricted to \p Blocks, which arrive sorted by
+/// Rank. Out rows of successors outside \p Blocks are read but never
+/// written — they hold the still-valid remainder of the solution.
 void LivenessTracker::solveRegion(const std::vector<int> &Blocks) {
   bool Changed = true;
   while (Changed) {
@@ -129,6 +76,38 @@ void LivenessTracker::solveRegion(const std::vector<int> &Blocks) {
   }
 }
 
+/// Ranks the blocks in DFS postorder over the successor CSR and leaves that
+/// order in Region. The DFS starts at the entry, then at each block still
+/// unvisited in id order, so unreachable blocks rank after every reachable
+/// one. In postorder a block follows its successors except along back
+/// edges, so each sweep carries liveness up to the next back edge: a
+/// reducible CFG settles in (loop depth + 1) sweeps plus one that confirms.
+void LivenessTracker::rankBlocks() {
+  Rank.assign(NumBlocks, -1);
+  Region.clear();
+  std::vector<int> Next(SuccStart.begin(), SuccStart.end() - 1);
+  for (size_t Root = 0; Root != NumBlocks; ++Root) {
+    if (Rank[Root] != -1)
+      continue;
+    Rank[Root] = 0; // visited; the real rank is set when the block finishes
+    Stack.assign(1, static_cast<int>(Root));
+    while (!Stack.empty()) {
+      int B = Stack.back();
+      if (Next[B] != SuccStart[B + 1]) {
+        int S = Succs[Next[B]++];
+        if (Rank[S] == -1) {
+          Rank[S] = 0;
+          Stack.push_back(S);
+        }
+        continue;
+      }
+      Stack.pop_back();
+      Rank[B] = static_cast<int>(Region.size());
+      Region.push_back(B);
+    }
+  }
+}
+
 void LivenessTracker::compute(const Function &F) {
   ++FullComputes;
   NumBlocks = F.Blocks.size();
@@ -150,7 +129,6 @@ void LivenessTracker::compute(const Function &F) {
   PredStart.assign(NumBlocks + 1, 0);
   Succs.clear();
   Preds.clear();
-  std::vector<int> SuccsOf;
   for (size_t B = 0; B != NumBlocks; ++B) {
     SuccStart[B] = static_cast<int>(Succs.size());
     for (int S : F.Blocks[B].successors()) {
@@ -172,9 +150,7 @@ void LivenessTracker::compute(const Function &F) {
   for (size_t B = 0; B != NumBlocks; ++B)
     rebuildGenKill(F, static_cast<int>(B));
 
-  Region.resize(NumBlocks);
-  for (size_t B = 0; B != NumBlocks; ++B)
-    Region[B] = static_cast<int>(NumBlocks - 1 - B); // descending ids
+  rankBlocks();
   solveRegion(Region);
   Valid = true;
 }
@@ -234,7 +210,8 @@ void LivenessTracker::refresh(const Function &F) {
     std::memset(Out.data() + size_t(B) * W, 0, W * sizeof(uint64_t));
     ++RowVersion[B]; // rows in the region may move (conservative)
   }
-  std::sort(Region.begin(), Region.end(), std::greater<int>());
+  std::sort(Region.begin(), Region.end(),
+            [this](int A, int B) { return Rank[A] < Rank[B]; });
   solveRegion(Region);
 
   for (int B : Region)

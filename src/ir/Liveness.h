@@ -2,20 +2,20 @@
 ///
 /// \file
 /// Classic backward dataflow liveness over the whole register id space
-/// (physical + virtual). Consumed by the register allocator (live intervals)
-/// and by the trace scheduler (speculation is illegal when an instruction's
-/// destination is live into the off-trace path, section 3.2).
+/// (physical + virtual). Consumed by the register allocator (live intervals),
+/// by the trace scheduler (speculation is illegal when an instruction's
+/// destination is live into the off-trace path, section 3.2), by the cleanup
+/// passes and by the verifiers.
 ///
-/// Two entry points:
-///  - computeLiveness: one-shot solve returning per-block BitVec rows.
-///  - LivenessTracker: a persistent solver with an incremental update API.
-///    Consumers that edit the function (the cleanup fixpoint) mark exactly
-///    the blocks they touched; update() then re-solves only the blocks whose
-///    solution can actually change — the dirty blocks plus every block that
-///    can reach one along CFG edges — against the frozen solution of the
-///    rest. Liveness has a unique least fixpoint, so the result is exactly
-///    equal to a fresh computeLiveness (cleanup_test asserts it under
-///    randomized edits).
+/// One solver, LivenessTracker, sweeps the blocks in DFS postorder from the
+/// entry until nothing changes; computeLiveness is a one-shot solve copied
+/// into per-block BitVec rows. Consumers that edit the function (the cleanup
+/// fixpoint) keep a tracker, mark exactly the blocks they touched, and
+/// refresh() then re-solves only the blocks whose solution can actually
+/// change — the dirty blocks plus every block that can reach one along CFG
+/// edges — against the frozen solution of the rest. Liveness has a unique
+/// least fixpoint, so the result is exactly equal to a fresh solve
+/// (cleanup_test checks both against a naive solve, under randomized edits).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +39,7 @@ struct Liveness {
   bool isLiveOut(int Block, Reg R) const { return LiveOut[Block].test(R.Id); }
 };
 
-/// Computes liveness for \p F by iterating LiveIn/LiveOut to a fixpoint.
+/// Computes liveness for \p F: LivenessTracker::compute, copied into rows.
 Liveness computeLiveness(const Function &F);
 
 /// Incrementally-updatable liveness over a function whose CFG is static
@@ -50,7 +50,8 @@ Liveness computeLiveness(const Function &F);
 /// (true for every cleanup pass: they never create registers).
 class LivenessTracker {
 public:
-  /// Full solve for \p F; (re)builds the successor/predecessor CSR.
+  /// Full solve for \p F; (re)builds the successor/predecessor CSR and the
+  /// postorder rank every later solve sweeps in.
   void compute(const Function &F);
 
   /// Records that \p Block's instruction list may have changed. Cheap and
@@ -58,7 +59,7 @@ public:
   void markDirty(int Block);
 
   /// Re-solves the affected region (dirty blocks plus all blocks that reach
-  /// one) so the solution again equals a fresh computeLiveness(F). Falls
+  /// one) so the solution again equals a fresh compute(F). Falls
   /// back to compute() when no solution exists yet. No-op when clean.
   void refresh(const Function &F);
 
@@ -90,9 +91,10 @@ public:
   /// recognize blocks whose liveness provably did not move between solves.
   uint64_t rowVersion(int Block) const { return RowVersion[Block]; }
 
-  /// Counters for the bench's cleanup instrumentation: how many full solves
-  /// vs. incremental region updates this tracker ran, and how many block
-  /// re-solutions the incremental updates visited in total.
+  /// How many full solves vs. incremental region updates this tracker ran
+  /// (cleanup reports them as CleanupStats fields), and how many block
+  /// solutions all its sweeps visited in total (cleanup_test bounds it to
+  /// guard the sweep order).
   int FullComputes = 0;
   int IncrementalUpdates = 0;
   int BlocksResolved = 0;
@@ -102,6 +104,7 @@ private:
     return (Row[I / 64] >> (I % 64)) & 1;
   }
   void rebuildGenKill(const Function &F, int Block);
+  void rankBlocks();
   void solveRegion(const std::vector<int> &Blocks);
 
   bool Valid = false;
@@ -114,6 +117,7 @@ private:
 
   std::vector<uint8_t> DirtyMark, InRegion;
   std::vector<uint64_t> RowVersion;
+  std::vector<int> Rank; ///< postorder position per block, set by compute().
   std::vector<int> DirtyList, Region, Stack;
   std::vector<uint64_t> Scratch;
   std::vector<Reg> UsesScratch;

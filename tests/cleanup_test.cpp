@@ -4,28 +4,36 @@
 //
 //  * ir::LivenessTracker's incremental update contract: after any sequence
 //    of block edits (marked via markDirty), refresh() must restore exact
-//    equality with a fresh computeLiveness over the edited function —
-//    checked under randomized deletions, duplications and reorderings of
-//    block instructions, in batches, over lowered workload CFGs.
+//    equality with the naive reference solve (NaiveLiveness.h) over the
+//    edited function — checked under randomized deletions, duplications and
+//    reorderings of block instructions, in batches, over lowered workload
+//    CFGs. computeLiveness is checked against the same reference.
 //  * The rowVersion contract the cleanup pass's skip logic relies on: a
 //    block whose rowVersion did not move across a refresh has bit-identical
 //    LiveIn/LiveOut rows.
+//  * The sweep order: a full solve visits at most (max loop depth + 2)
+//    blocks per block, on generated programs and on every workload.
 //  * The cleanup twins: opt::cleanupModule's worklist implementation and the
 //    reference implementation must produce byte-identical modules and make
 //    identical decisions (same semantic counters) on every workload.
 //
 //===----------------------------------------------------------------------===//
 
+#include "NaiveLiveness.h"
 #include "driver/Compiler.h"
 #include "driver/Workloads.h"
+#include "fuzz/Configs.h"
+#include "ir/CFG.h"
 #include "ir/IRParser.h"
 #include "ir/Interp.h"
 #include "ir/Liveness.h"
+#include "lang/Generate.h"
 #include "lang/Parser.h"
 #include "opt/Cleanup.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <string>
@@ -35,23 +43,6 @@ using namespace bsched;
 using namespace bsched::ir;
 
 namespace {
-
-/// Requires the tracker's rows to equal a fresh one-shot solve of \p F.
-void expectTrackerMatchesFresh(const LivenessTracker &T, const Function &F,
-                               const std::string &What) {
-  Liveness Fresh = computeLiveness(F);
-  ASSERT_EQ(T.numBlocks(), F.Blocks.size()) << What;
-  for (size_t B = 0; B != F.Blocks.size(); ++B)
-    for (uint32_t R = 0; R != F.numRegs(); ++R) {
-      Reg Rg(R);
-      ASSERT_EQ(T.isLiveIn(static_cast<int>(B), Rg),
-                Fresh.LiveIn[B].test(R))
-          << What << ": LiveIn mismatch at block " << B << " reg " << R;
-      ASSERT_EQ(T.isLiveOut(static_cast<int>(B), Rg),
-                Fresh.LiveOut[B].test(R))
-          << What << ": LiveOut mismatch at block " << B << " reg " << R;
-    }
-}
 
 /// CFG-preserving random edit of one block: delete, duplicate, or reorder a
 /// non-terminator instruction. Returns false when the block is too small to
@@ -118,17 +109,20 @@ std::vector<Module> mutationSubjects() {
 // LivenessTracker incremental-update contract
 //===----------------------------------------------------------------------===//
 
-/// The first compute() must already equal the one-shot solver.
+/// The first compute(), and computeLiveness, must already equal the naive
+/// reference solve.
 TEST(LivenessTracker, InitialComputeMatchesOneShot) {
   for (const Module &M : mutationSubjects()) {
     LivenessTracker T;
     T.compute(M.Fn);
     ASSERT_TRUE(T.valid());
-    expectTrackerMatchesFresh(T, M.Fn, M.Fn.Name);
+    test::expectMatchesNaive(T, M.Fn, M.Fn.Name);
+    test::expectMatchesNaive(computeLiveness(M.Fn), M.Fn,
+                             M.Fn.Name + " computeLiveness");
   }
 }
 
-/// Randomized edit batches: mark, refresh, compare against a fresh solve.
+/// Randomized edit batches: mark, refresh, compare against the naive solve.
 /// Deterministic seed so failures replay.
 TEST(LivenessTracker, RandomizedEditsMatchFreshSolve) {
   std::mt19937 Rng(0xba15c4ed);
@@ -149,9 +143,9 @@ TEST(LivenessTracker, RandomizedEditsMatchFreshSolve) {
       if (!Touched)
         continue;
       T.refresh(F);
-      expectTrackerMatchesFresh(T, F,
-                                std::string(F.Name) + " round " +
-                                    std::to_string(Round));
+      test::expectMatchesNaive(T, F,
+                               std::string(F.Name) + " round " +
+                                   std::to_string(Round));
     }
   }
 }
@@ -165,11 +159,11 @@ TEST(LivenessTracker, SpuriousDirtyMarksAreExact) {
     LivenessTracker T;
     T.compute(F);
     T.refresh(F); // clean: no-op
-    expectTrackerMatchesFresh(T, F, std::string(F.Name) + " clean refresh");
+    test::expectMatchesNaive(T, F, std::string(F.Name) + " clean refresh");
     for (size_t B = 0; B < F.Blocks.size(); B += 2)
       T.markDirty(static_cast<int>(B));
     T.refresh(F);
-    expectTrackerMatchesFresh(T, F, std::string(F.Name) + " spurious dirty");
+    test::expectMatchesNaive(T, F, std::string(F.Name) + " spurious dirty");
   }
 }
 
@@ -217,6 +211,50 @@ TEST(LivenessTracker, UnchangedRowVersionMeansUnchangedRows) {
             << F.Name << ": block " << Blk
             << " LiveOut moved under an unchanged rowVersion";
       }
+    }
+  }
+}
+
+/// Guards the sweep order without timing anything. A full solve in DFS
+/// postorder settles in at most (max loop depth + 2) sweeps on a reducible
+/// CFG, so it visits at most that many blocks per block. An order blind to
+/// the CFG, such as descending block ids, takes about 24 sweeps on these
+/// modules, far past the bound.
+/// Checked on the front-end modules of generated programs under every
+/// differential config and on the 17 workloads at LU1/4/8.
+TEST(LivenessTracker, FullSolveSweepsWithinLoopDepthPlusTwo) {
+  auto Check = [](const Function &F, const std::string &What) {
+    LivenessTracker T;
+    T.compute(F);
+    std::vector<int> Depth = loopDepths(F);
+    int MaxDepth = Depth.empty() ? 0 : *std::max_element(Depth.begin(),
+                                                         Depth.end());
+    EXPECT_LE(T.BlocksResolved,
+              (MaxDepth + 2) * static_cast<int>(F.Blocks.size()))
+        << What << ": " << F.Blocks.size() << " blocks, max loop depth "
+        << MaxDepth;
+  };
+  std::vector<driver::CompileOptions> Configs =
+      fuzz::differentialCompileConfigs();
+  for (uint64_t Seed = 600; Seed != 620; ++Seed) {
+    lang::Program P = lang::generateProgram(Seed);
+    for (size_t C = 0; C != Configs.size(); ++C) {
+      driver::CompileResult FE = driver::compileFrontEnd(P, Configs[C]);
+      std::string What =
+          "seed " + std::to_string(Seed) + " config " + std::to_string(C);
+      ASSERT_TRUE(FE.ok()) << What << ": " << FE.Error;
+      Check(FE.M.Fn, What);
+    }
+  }
+  for (const driver::Workload &W : driver::workloads()) {
+    lang::Program P = driver::parseWorkload(W);
+    for (int LU : {1, 4, 8}) {
+      driver::CompileOptions Opts;
+      Opts.UnrollFactor = LU;
+      driver::CompileResult FE = driver::compileFrontEnd(P, Opts);
+      std::string What = std::string(W.Name) + " LU" + std::to_string(LU);
+      ASSERT_TRUE(FE.ok()) << What << ": " << FE.Error;
+      Check(FE.M.Fn, What);
     }
   }
 }

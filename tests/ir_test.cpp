@@ -1,6 +1,8 @@
 //===- tests/ir_test.cpp - Unit tests for the IR, verifier, interpreter ---===//
 
+#include "NaiveLiveness.h"
 #include "ir/IR.h"
+#include "ir/IRParser.h"
 #include "ir/Interp.h"
 #include "ir/Liveness.h"
 
@@ -306,6 +308,7 @@ TEST(Liveness, LoopCarriedValuesLiveAroundLoop) {
   Reg X(NumPhysTotal + 5);
   for (int B = 0; B != 4; ++B)
     EXPECT_FALSE(L.isLiveIn(B, X)) << "block " << B;
+  test::expectMatchesNaive(L, M.Fn, "sum loop");
 }
 
 TEST(Liveness, DeadAfterLastUse) {
@@ -314,4 +317,177 @@ TEST(Liveness, DeadAfterLastUse) {
   Reg Sum(NumPhysTotal + 1);
   // Sum is consumed by the store in b3 and not live out of it.
   EXPECT_FALSE(L.isLiveOut(3, Sum));
+}
+
+//===----------------------------------------------------------------------===//
+// Liveness on hand-written CFG shapes. Lowered modules never contain an
+// unreachable block or an irreducible cycle, so only these reach those
+// paths of the solver's block order. Each case checks a few bits by hand,
+// then every row of computeLiveness and of a LivenessTracker against the
+// naive reference solve.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+Reg vreg(unsigned N) { return Reg(NumPhysTotal + N); }
+
+Function parseFunction(const char *Text) {
+  ParseIRResult R = parseModule(Text);
+  EXPECT_TRUE(R.ok()) << R.Error << "\n" << Text;
+  return std::move(R.M.Fn);
+}
+
+/// computeLiveness and a fresh tracker, each against the naive solve.
+Liveness solveAndCheck(const Function &F) {
+  LivenessTracker T;
+  T.compute(F);
+  test::expectMatchesNaive(T, F, F.Name + " tracker");
+  Liveness L = computeLiveness(F);
+  test::expectMatchesNaive(L, F, F.Name + " computeLiveness");
+  return L;
+}
+
+} // namespace
+
+/// b1 and b3 are unreachable; b3 jumps to b1, which jumps into reachable
+/// code. An unreachable block still gets the least fixpoint: its own
+/// upward-exposed use and what its successor needs.
+TEST(LivenessShapes, UnreachableBlocks) {
+  Function F = parseFunction(R"(
+func unreachable
+b0:
+  ldi v0, 1
+  jmp b2
+b1:
+  add v1, v2, #1
+  jmp b2
+b2:
+  add v3, v0, #1
+  ret
+b3:
+  add v4, v0, v5
+  jmp b1
+)");
+  ASSERT_EQ(F.Blocks.size(), 4u);
+  Liveness L = solveAndCheck(F);
+  EXPECT_TRUE(L.isLiveIn(1, vreg(2)));  // its own upward-exposed use
+  EXPECT_TRUE(L.isLiveIn(1, vreg(0)));  // needed by b2
+  EXPECT_TRUE(L.isLiveOut(3, vreg(2))); // through unreachable b1
+  EXPECT_TRUE(L.isLiveIn(3, vreg(5)));
+  EXPECT_FALSE(L.isLiveIn(0, vreg(0)));
+  EXPECT_FALSE(L.isLiveIn(2, vreg(2)));
+  EXPECT_FALSE(L.isLiveOut(1, vreg(1)));
+}
+
+TEST(LivenessShapes, SelfLoop) {
+  Function F = parseFunction(R"(
+func selfloop
+b0:
+  ldi v0, 0
+  ldi v1, 10
+  jmp b1
+b1:
+  add v0, v0, #1
+  cmplt v2, v0, v1
+  br v2, b1, b2
+b2:
+  add v3, v0, #0
+  ret
+)");
+  Liveness L = solveAndCheck(F);
+  EXPECT_TRUE(L.isLiveIn(1, vreg(0)));
+  EXPECT_TRUE(L.isLiveIn(1, vreg(1)));
+  EXPECT_TRUE(L.isLiveOut(1, vreg(1))); // around the self edge
+  EXPECT_FALSE(L.isLiveIn(1, vreg(2)));
+  EXPECT_FALSE(L.isLiveIn(2, vreg(1)));
+  EXPECT_FALSE(L.isLiveOut(2, vreg(0)));
+}
+
+/// b1 <-> b2 is a cycle with two entries from b0 (irreducible). v4 is used
+/// only in b1, so it is live around the whole cycle.
+TEST(LivenessShapes, IrreducibleTwoEntryCycle) {
+  Function F = parseFunction(R"(
+func irreducible
+b0:
+  ldi v0, 0
+  ldi v1, 5
+  ldi v4, 2
+  cmplt v2, v0, v1
+  br v2, b1, b2
+b1:
+  add v0, v0, v4
+  jmp b2
+b2:
+  cmplt v3, v0, v1
+  br v3, b1, b3
+b3:
+  add v5, v0, #0
+  ret
+)");
+  Liveness L = solveAndCheck(F);
+  EXPECT_TRUE(L.isLiveIn(2, vreg(4)));
+  EXPECT_TRUE(L.isLiveOut(1, vreg(4)));
+  EXPECT_TRUE(L.isLiveIn(1, vreg(1)));
+  EXPECT_TRUE(L.isLiveIn(2, vreg(0)));
+  EXPECT_FALSE(L.isLiveIn(3, vreg(4)));
+  EXPECT_FALSE(L.isLiveOut(0, vreg(2)));
+}
+
+/// The loop header b1 sits below its preheader b2 and its body b3: the
+/// forward edge b2 -> b1 and the back edge b3 -> b1 both go to a lower id.
+TEST(LivenessShapes, EdgesToLowerIds) {
+  Function F = parseFunction(R"(
+func lowerids
+b0:
+  ldi v0, 0
+  ldi v1, 8
+  jmp b2
+b1:
+  cmplt v2, v0, v1
+  br v2, b3, b4
+b2:
+  ldi v5, 3
+  jmp b1
+b3:
+  add v0, v0, v5
+  jmp b1
+b4:
+  add v6, v0, #0
+  ret
+)");
+  Liveness L = solveAndCheck(F);
+  EXPECT_TRUE(L.isLiveOut(2, vreg(5)));
+  EXPECT_TRUE(L.isLiveIn(1, vreg(5)));
+  EXPECT_TRUE(L.isLiveIn(3, vreg(5)));
+  EXPECT_TRUE(L.isLiveIn(2, vreg(1)));
+  EXPECT_FALSE(L.isLiveIn(2, vreg(5)));
+  EXPECT_FALSE(L.isLiveIn(0, vreg(1)));
+  EXPECT_FALSE(L.isLiveIn(4, vreg(1)));
+}
+
+TEST(LivenessShapes, SingleBlockRet) {
+  Function F = parseFunction(R"(
+func single
+b0:
+  ldi v0, 1
+  add v1, v0, v2
+  ret
+)");
+  Liveness L = solveAndCheck(F);
+  EXPECT_TRUE(L.isLiveIn(0, vreg(2)));
+  EXPECT_FALSE(L.isLiveIn(0, vreg(0)));
+  EXPECT_FALSE(L.LiveOut[0].any());
+}
+
+/// A function with no blocks (ir::verify rejects one, but nothing stops a
+/// caller from solving it) yields empty rows.
+TEST(LivenessShapes, NoBlocks) {
+  Function F;
+  LivenessTracker T;
+  T.compute(F);
+  EXPECT_EQ(T.numBlocks(), 0u);
+  EXPECT_EQ(T.BlocksResolved, 0);
+  Liveness L = computeLiveness(F);
+  EXPECT_TRUE(L.LiveIn.empty());
+  EXPECT_TRUE(L.LiveOut.empty());
 }
