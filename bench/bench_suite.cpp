@@ -28,8 +28,12 @@
 //                            both and checks the outputs byte-identical
 //   --json PATH              write the suite JSON (none unless given)
 //   --out-dir DIR            also write per-table <name>.txt / <name>.json
-//   --min-disk-hit-rate X    gate: warm-pass disk hit rate floor (measure)
-//   --min-warm-speedup X     gate: cold/warm wall-time floor (measure)
+//   --min-disk-hit-rate X    gate: warm-pass disk hit rate floor, in (0, 1]
+//                            (measure)
+//   --min-warm-speedup X     gate: cold/warm wall-time floor, > 0 (measure)
+//
+// A numeric flag whose value does not parse in full or lies outside its
+// range exits 2, naming the flag, before any table runs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +46,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -168,20 +171,24 @@ int main(int argc, char **argv) {
       Measure = true;
     else if (!std::strcmp(argv[I], "--tables") && I + 1 != argc)
       Selected = splitList(argv[++I]);
-    else if (!std::strcmp(argv[I], "--threads") && I + 1 != argc)
-      Threads = static_cast<unsigned>(std::atoi(argv[++I]));
+    else if (!std::strcmp(argv[I], "--threads") && I + 1 != argc &&
+             (!std::strcmp(argv[I + 1], "0") ||
+              parsePositive(argv[I + 1], Threads)))
+      ++I;
     else if (!std::strcmp(argv[I], "--store") && I + 1 != argc)
       StoreDir = argv[++I];
     else if (!std::strcmp(argv[I], "--json") && I + 1 != argc)
       JsonPath = argv[++I];
     else if (!std::strcmp(argv[I], "--out-dir") && I + 1 != argc)
       OutDir = argv[++I];
-    else if (!std::strcmp(argv[I], "--min-disk-hit-rate") && I + 1 != argc)
-      MinDiskHitRate = std::atof(argv[++I]);
-    else if (!std::strcmp(argv[I], "--min-warm-speedup") && I + 1 != argc)
-      MinWarmSpeedup = std::atof(argv[++I]);
+    else if (!std::strcmp(argv[I], "--min-disk-hit-rate") && I + 1 != argc &&
+             parsePositive(argv[I + 1], MinDiskHitRate) && MinDiskHitRate <= 1)
+      ++I;
+    else if (!std::strcmp(argv[I], "--min-warm-speedup") && I + 1 != argc &&
+             parsePositive(argv[I + 1], MinWarmSpeedup))
+      ++I;
     else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[I]);
+      std::fprintf(stderr, "unknown argument or bad value: %s\n", argv[I]);
       return 2;
     }
   }
@@ -238,6 +245,7 @@ int main(int argc, char **argv) {
   uint64_t ColdNs = 0, WarmNs = 0;
   driver::ArtifactStoreStats ColdStore, WarmStore;
   driver::ResultCacheStats CacheBefore = driver::resultCacheStats();
+  MemoStats OracleBefore = driver::oracleCacheStats();
   bool PassesIdentical = true;
 
   if (Measure) {
@@ -273,6 +281,7 @@ int main(int argc, char **argv) {
     ColdStore = driver::artifactStoreStats();
   }
   driver::ResultCacheStats CacheAfter = driver::resultCacheStats();
+  MemoStats OracleAfter = driver::oracleCacheStats();
 
   // Emit every table's captured bytes in order.
   for (const TableRun &TR : Tables)
@@ -361,15 +370,20 @@ int main(int argc, char **argv) {
         Undeclared += TR.UndeclaredMisses;
       std::fprintf(J, "  \"undeclared_misses\": %llu,\n",
                    static_cast<unsigned long long>(Undeclared));
-      std::fprintf(J,
-                   "  \"result_cache\": {\"hits\": %llu, \"misses\": %llu, "
-                   "\"in_flight_waits\": %llu},\n",
-                   static_cast<unsigned long long>(CacheAfter.Hits -
-                                                   CacheBefore.Hits),
-                   static_cast<unsigned long long>(CacheAfter.Misses -
-                                                   CacheBefore.Misses),
-                   static_cast<unsigned long long>(CacheAfter.InFlightWaits -
-                                                   CacheBefore.InFlightWaits));
+      auto MemoJson = [&](const char *Name, const MemoStats &Before,
+                          const MemoStats &After) {
+        std::fprintf(J,
+                     "  \"%s\": {\"hits\": %llu, \"misses\": %llu, "
+                     "\"in_flight_waits\": %llu},\n",
+                     Name,
+                     static_cast<unsigned long long>(After.Hits - Before.Hits),
+                     static_cast<unsigned long long>(After.Misses -
+                                                     Before.Misses),
+                     static_cast<unsigned long long>(After.InFlightWaits -
+                                                     Before.InFlightWaits));
+      };
+      MemoJson("result_cache", CacheBefore, CacheAfter);
+      MemoJson("oracle_cache", OracleBefore, OracleAfter);
       auto StoreJson = [&](const char *Name,
                            const driver::ArtifactStoreStats &S) {
         std::fprintf(J,

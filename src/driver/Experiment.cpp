@@ -12,20 +12,58 @@
 
 #include <bit>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 
 using namespace bsched;
 using namespace bsched::driver;
+
+namespace {
+
+/// What the oracle memo files an evaluation under: the source text's
+/// wordDigest and length. The oracle reads the text alone, so no name,
+/// option or machine field belongs here.
+struct SourceId {
+  uint64_t Digest;
+  uint64_t Len;
+  bool operator==(const SourceId &) const = default;
+};
+
+} // namespace
+
+template <> struct std::hash<SourceId> {
+  size_t operator()(const SourceId &S) const { return S.Digest; }
+};
+
+namespace {
+
+ShardedMemo<std::string, RunResult> &results() {
+  static ShardedMemo<std::string, RunResult> Memo;
+  return Memo;
+}
+
+ShardedMemo<SourceId, lang::EvalResult> &oracles() {
+  static ShardedMemo<SourceId, lang::EvalResult> Memo;
+  return Memo;
+}
+
+} // namespace
+
+MemoStats driver::oracleCacheStats() { return oracles().stats(); }
 
 RunResult driver::runWorkload(const Workload &W, const CompileOptions &Opts,
                               const sim::MachineConfig &Machine) {
   RunResult R;
 
   lang::Program P = inPhase(Phase::Parse, [&] { return parseWorkload(W); });
-  lang::EvalResult Ref =
-      inPhase(Phase::Eval, [&] { return lang::evalProgram(P); });
-  if (!Ref.ok()) {
-    R.Error = std::string(W.Name) + ": oracle: " + Ref.Error;
+  std::shared_ptr<const lang::EvalResult> Ref = inPhase(Phase::Eval, [&] {
+    size_t Len = std::strlen(W.Source);
+    return oracles().get({wordDigest(W.Source, Len), Len},
+                         [&] { return lang::evalProgram(P); });
+  });
+  if (!Ref->ok()) {
+    R.Error = std::string(W.Name) + ": oracle: " + Ref->Error;
     return R;
   }
 
@@ -49,22 +87,13 @@ RunResult driver::runWorkload(const Workload &W, const CompileOptions &Opts,
               "]: simulation exceeded the cycle budget";
     return R;
   }
-  if (R.Sim.Checksum != Ref.Checksum) {
+  if (R.Sim.Checksum != Ref->Checksum) {
     R.Error = std::string(W.Name) + " [" + Opts.tag() +
               "]: MISCOMPILE - simulated checksum differs from the oracle";
     return R;
   }
   return R;
 }
-
-namespace {
-
-ShardedMemo<std::string, RunResult> &results() {
-  static ShardedMemo<std::string, RunResult> Memo;
-  return Memo;
-}
-
-} // namespace
 
 ResultCacheStats driver::resultCacheStats() { return results().stats(); }
 
@@ -97,6 +126,7 @@ std::string driver::resultKey(const Workload &W, const CompileOptions &Opts,
 
 void driver::clearResultCache() {
   results().clear();
+  oracles().clear();
 }
 
 const RunResult &driver::runCached(const Workload &W,

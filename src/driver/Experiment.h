@@ -42,6 +42,13 @@ struct RunResult {
 /// Compiles and simulates \p W under \p Opts on \p Machine. The simulated
 /// checksum is verified against the AST evaluator; a mismatch is an error
 /// (an experiment must never report numbers from a miscompiled program).
+///
+/// The evaluator's result depends on the source text alone, so it is
+/// memoized under the text's digest and length: each source text is
+/// evaluated once per result-cache lifetime (until clearResultCache), by
+/// the first job that needs it, whatever the workload's name. Every job
+/// still parses and compiles its own program, compares its own simulated
+/// checksum with the oracle's, and names itself in an oracle error.
 RunResult runWorkload(const Workload &W, const CompileOptions &Opts,
                       const sim::MachineConfig &Machine = {});
 
@@ -75,15 +82,17 @@ std::string resultKey(const Workload &W, const CompileOptions &Opts,
 /// served it: a computed result records lang.eval, the compile phases and
 /// sim; a disk hit records driver.store_load and driver.decode but no
 /// lang.eval; a memory hit, or a wait on another thread computing the same
-/// key, records nothing.
+/// key, records nothing. A computed result's lang.eval may be only a lookup
+/// of the oracle memo, or a wait on another job evaluating the same text.
 const RunResult &runCached(const Workload &W, const CompileOptions &Opts,
                            const sim::MachineConfig &Machine = {});
 
-/// Empties the in-memory result cache. All references previously returned
-/// by runCached/runAll become dangling — callers are the suite runner
-/// (between its cold and warm measurement passes) and tests, which drop
-/// their results first. Must not race with runCached. The counters keep
-/// counting.
+/// Empties the in-memory result cache and runWorkload's oracle memo, so the
+/// next job of any source evaluates it again. All references previously
+/// returned by runCached/runAll become dangling — callers are the suite
+/// runner (between its cold and warm measurement passes) and tests, which
+/// drop their results first. Must not race with runCached. The counters
+/// keep counting.
 void clearResultCache();
 
 /// runCached observability, aggregated over shards. Hits found a completed
@@ -92,6 +101,10 @@ void clearResultCache();
 /// it.
 using ResultCacheStats = MemoStats;
 ResultCacheStats resultCacheStats();
+
+/// runWorkload's oracle memo, aggregated over shards: Misses counts the
+/// evaluations run, Hits and InFlightWaits the jobs that shared one.
+MemoStats oracleCacheStats();
 
 /// One (workload, configuration, machine) cell of an experiment.
 struct ExperimentJob {

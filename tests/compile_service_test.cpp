@@ -422,3 +422,110 @@ TEST(PhaseRecord, RunCachedRecordShowsTheServingTier) {
                                          "driver.decode"}));
   EXPECT_TRUE(Memory.empty());
 }
+
+//===----------------------------------------------------------------------===//
+// runWorkload's oracle memo: one evaluation per source text
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Evaluations runWorkload has run so far.
+uint64_t oracleEvaluations() { return oracleCacheStats().Misses; }
+
+/// A workload named \p Name over the text in \p Source.
+Workload textWorkload(const char *Name, const std::string &Source) {
+  Workload W = workloads().front();
+  W.Name = Name;
+  W.Source = Source.c_str();
+  return W;
+}
+
+} // namespace
+
+// A batch evaluates each of the 17 sources once, at any thread count, and
+// every job's result equals a run whose oracle is evaluated afresh.
+TEST(OracleMemo, EvaluatesEachSourceOnce) {
+  ASSERT_EQ(workloads().size(), 17u);
+  CompileOptions Traditional;
+  Traditional.Scheduler = sched::SchedulerKind::Traditional;
+  CompileOptions Trace;
+  Trace.UnrollFactor = 4;
+  Trace.TraceScheduling = true;
+  std::vector<ExperimentJob> Jobs;
+  for (const CompileOptions &O : {CompileOptions(), Traditional, Trace})
+    for (const Workload &W : workloads())
+      Jobs.push_back({&W, O, {}});
+
+  const unsigned ThreadCounts[] = {1, 4};
+  std::vector<RunResult> Memoized[2];
+  for (unsigned T = 0; T != 2; ++T) {
+    clearResultCache();
+    uint64_t Before = oracleEvaluations();
+    for (const RunResult *R : runAll(Jobs, ThreadCounts[T]))
+      Memoized[T].push_back(*R);
+    EXPECT_EQ(oracleEvaluations() - Before, 17u)
+        << ThreadCounts[T] << " threads";
+  }
+
+  for (size_t I = 0; I != Jobs.size(); ++I) {
+    clearResultCache();
+    RunResult Fresh = runWorkload(*Jobs[I].W, Jobs[I].Opts);
+    EXPECT_TRUE(Fresh.ok()) << Fresh.Error;
+    for (unsigned T = 0; T != 2; ++T)
+      EXPECT_EQ(firstDifference(Memoized[T][I], Fresh, "memoized", "fresh"),
+                "")
+          << "job " << I << ", " << ThreadCounts[T] << " threads";
+  }
+}
+
+// The key is the text alone: one source under two names, in two buffers,
+// is evaluated once, and each job's oracle error names that job.
+TEST(OracleMemo, OneEvaluationAcrossNames) {
+  const std::string Text = "array a[2] output;\n"
+                           "a[0] = 1.0;\n"
+                           "a[2] = 2.0;\n";
+  const std::string Copy = Text;
+  Workload First = textWorkload("first", Text);
+  Workload Second = textWorkload("second", Copy);
+
+  clearResultCache();
+  uint64_t Before = oracleEvaluations();
+  RunResult A = runWorkload(First, {});
+  RunResult B = runWorkload(Second, {});
+  EXPECT_EQ(oracleEvaluations() - Before, 1u);
+  EXPECT_EQ(A.Error, "first: oracle: subscript out of bounds on 'a'");
+  EXPECT_EQ(B.Error, "second: oracle: subscript out of bounds on 'a'");
+}
+
+// clearResultCache also forgets the oracles, so a cold pass stays cold.
+TEST(OracleMemo, ClearResultCacheForgetsOracles) {
+  const Workload &W = *findWorkload("ora");
+  clearResultCache();
+  uint64_t Before = oracleEvaluations();
+  ASSERT_TRUE(runWorkload(W, {}).ok());
+  ASSERT_TRUE(runWorkload(W, {}).ok());
+  EXPECT_EQ(oracleEvaluations() - Before, 1u);
+  clearResultCache();
+  ASSERT_TRUE(runWorkload(W, {}).ok());
+  EXPECT_EQ(oracleEvaluations() - Before, 2u);
+}
+
+// The memo keys the text, not its address: a buffer rewritten in place is
+// evaluated again and checked against its new checksum.
+TEST(OracleMemo, SourceRewrittenInPlaceEvaluatesAgain) {
+  std::string Buffer = "array a[2] output;\n"
+                       "a[0] = 1.0;\n"
+                       "a[1] = 2.0;\n";
+  Workload W = textWorkload("rewritten", Buffer);
+
+  clearResultCache();
+  uint64_t Before = oracleEvaluations();
+  RunResult Old = runWorkload(W, {});
+  ASSERT_TRUE(Old.ok()) << Old.Error;
+  Buffer[Buffer.find("2.0")] = '3';
+  ASSERT_EQ(W.Source, Buffer.c_str());
+  RunResult New = runWorkload(W, {});
+  ASSERT_TRUE(New.ok()) << New.Error;
+  EXPECT_EQ(oracleEvaluations() - Before, 2u);
+  EXPECT_NE(New.Sim.Checksum, Old.Sim.Checksum);
+}
