@@ -2,9 +2,10 @@
 ///
 /// \file
 /// Helpers shared by the table sources and the tracker benches:
-/// configuration constructors, the per-benchmark run loop with failure
-/// reporting, the latency-probe compile, printf-free table emission,
-/// wall-clock timing, and the BENCH_*.json helpers.
+/// configuration constructors (the latency probes' among them), the
+/// per-benchmark run loop with failure reporting, printf-free table
+/// emission, wall-clock timing, strict numeric flags, and the BENCH_*.json
+/// helpers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,7 @@
 #include <cstring>
 #include <string>
 #include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -65,18 +67,13 @@ mustRun(const driver::Workload &W, const driver::CompileOptions &Opts,
   return R;
 }
 
-/// Compiles a hand-written latency probe under traditional list scheduling
-/// and exits with the compile error on failure. The IR cleanup stays off: it
-/// would rewrite the serial chains the probes time.
-inline ir::Module compileProbe(const std::string &Src, const char *Name) {
+/// The options every latency probe of Tables 2 and 3 compiles under:
+/// traditional list scheduling with the IR cleanup off, which would rewrite
+/// the serial chains the probes time.
+inline driver::CompileOptions probeOptions() {
   driver::CompileOptions O = traditional();
   O.CleanupIR = false;
-  driver::CompileResult R = driver::compileSource(Src, Name, O);
-  if (!R.ok()) {
-    std::fprintf(stderr, "FATAL: %s: %s\n", Name, R.Error.c_str());
-    std::exit(1);
-  }
-  return std::move(R.M);
+  return O;
 }
 
 /// The full (workload x options x machine) grid as an ExperimentJob list —
@@ -125,14 +122,26 @@ template <typename FnT> uint64_t bestOf(int Reps, FnT Fn) {
   return Best;
 }
 
-/// Reads all of \p Text as a positive number into \p Out; false, with
-/// \p Out unchanged, for junk, trailing characters, zero or a negative
-/// value, so a tracker's numeric flag never reads a typo as 0.
-template <typename T> bool parsePositive(const char *Text, T &Out) {
+/// Reads all of \p Text as a number of at least 0 into \p Out; false, with
+/// \p Out unchanged, for junk, trailing characters or a negative value, so
+/// a numeric flag never reads a typo as 0.
+template <typename T> bool parseNonNegative(const char *Text, T &Out) {
   const char *End = Text + std::strlen(Text);
   T V{};
   auto [Ptr, Err] = std::from_chars(Text, End, V);
-  if (Err != std::errc() || Ptr != End || !(V > 0))
+  if (Err != std::errc() || Ptr != End)
+    return false;
+  if constexpr (!std::is_unsigned_v<T>)
+    if (!(V >= 0)) // refuses a NaN too
+      return false;
+  Out = V;
+  return true;
+}
+
+/// As parseNonNegative, but 0 is refused too.
+template <typename T> bool parsePositive(const char *Text, T &Out) {
+  T V{};
+  if (!parseNonNegative(Text, V) || !(V > 0))
     return false;
   Out = V;
   return true;

@@ -9,7 +9,10 @@
 ///     the table reads — the part worth deduplicating and parallelizing;
 ///   - run():  emits the table to stdout, assuming nothing (every cell it
 ///     touches still goes through runCached, so it is correct — just slower
-///     — without a warm cache).
+///     — without a warm cache). It computes nothing itself: anything that
+///     compiles or simulates, such as Tables 2 and 3's latency probes, is a
+///     cell of jobs(). Once the grid is warm, the suite fails a run() that
+///     records any phase (support/PhaseRecord.h) on its thread.
 ///
 /// BSCHED_SUITE_TABLE(name, title) exports the pair as a table descriptor
 /// under a well-known symbol, which the suite collects through

@@ -18,6 +18,9 @@
 //   --unroll N     unroll factor for every compile (default 4).
 //   --min-closure  exit 1 if the overall %-closed falls below PCT.
 //
+// A numeric flag whose value does not parse in full as a positive number
+// exits 2, naming the flag, before anything compiles.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -140,12 +143,14 @@ int main(int argc, char **argv) {
       Quick = true;
     else if (!std::strcmp(argv[I], "--json") && I + 1 != argc)
       JsonPath = argv[++I];
-    else if (!std::strcmp(argv[I], "--unroll") && I + 1 != argc)
-      Unroll = std::atoi(argv[++I]);
-    else if (!std::strcmp(argv[I], "--min-closure") && I + 1 != argc)
-      MinClosure = std::atof(argv[++I]);
+    else if (!std::strcmp(argv[I], "--unroll") && I + 1 != argc &&
+             parsePositive(argv[I + 1], Unroll))
+      ++I;
+    else if (!std::strcmp(argv[I], "--min-closure") && I + 1 != argc &&
+             parsePositive(argv[I + 1], MinClosure))
+      ++I;
     else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[I]);
+      std::fprintf(stderr, "unknown argument or bad value: %s\n", argv[I]);
       return 2;
     }
   }

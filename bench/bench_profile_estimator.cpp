@@ -26,6 +26,10 @@
 //   --min-speedup        exit 1 if any configuration's overall profile-time
 //                        speedup (interp ns / est ns) falls below X.
 //
+// A numeric flag whose value does not parse in full exits 2, naming the
+// flag, before anything compiles: --min-speedup takes a positive number,
+// --max-cycle-regress also 0 (no regression allowed).
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -146,12 +150,14 @@ int main(int argc, char **argv) {
       Quick = true;
     else if (!std::strcmp(argv[I], "--json") && I + 1 != argc)
       JsonPath = argv[++I];
-    else if (!std::strcmp(argv[I], "--max-cycle-regress") && I + 1 != argc)
-      MaxCycleRegress = std::atof(argv[++I]);
-    else if (!std::strcmp(argv[I], "--min-speedup") && I + 1 != argc)
-      MinSpeedup = std::atof(argv[++I]);
+    else if (!std::strcmp(argv[I], "--max-cycle-regress") && I + 1 != argc &&
+             parseNonNegative(argv[I + 1], MaxCycleRegress))
+      ++I;
+    else if (!std::strcmp(argv[I], "--min-speedup") && I + 1 != argc &&
+             parsePositive(argv[I + 1], MinSpeedup))
+      ++I;
     else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[I]);
+      std::fprintf(stderr, "unknown argument or bad value: %s\n", argv[I]);
       return 2;
     }
   }

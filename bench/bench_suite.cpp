@@ -14,14 +14,17 @@
 // Output contract: a table's bytes are the same whichever tables run beside
 // it, for any thread count, cold or warm store (suite_test asserts this and
 // pins tables 1-4 to their recorded FNV-1a). Every cell a table's run()
-// reads must be declared by its jobs(): a run() that misses the result cache
-// fails the suite, naming the table. An output file (--json, --out-dir)
-// that cannot be written also fails it.
+// reads must be declared by its jobs(), and run() computes nothing itself:
+// each run() is recorded by a PhaseRecorder, and one that misses the result
+// cache, or records a call in any phase (a compile, a simulation, a store
+// load), fails the suite, naming the table. An output file (--json,
+// --out-dir) that cannot be written also fails it.
 //
 // Usage:
 //   --list                   list registered tables and exit
 //   --tables a,b,c           run this subset (default: every table)
-//   --threads N              warmup fan-out threads (0 = one per hw thread)
+//   --threads N              warmup fan-out threads, at most 1024 (0 = one
+//                            per hw thread)
 //   --store DIR              artifact store directory
 //   --measure                forced-cold pass (disk reads off) then warm
 //                            pass (memory cleared, disk reads on); records
@@ -42,12 +45,14 @@
 
 #include "driver/ArtifactStore.h"
 #include "driver/ProfileCache.h"
+#include "support/PhaseRecord.h"
 #include "support/Serialize.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -90,6 +95,9 @@ struct TableRun {
   uint64_t RunNs = 0;        ///< serial emit time (cache-hit assembly).
   int ExitCode = 0;
   uint64_t UndeclaredMisses = 0; ///< cells run() computed itself (gated).
+  /// The first phase run() recorded a call in, if any (gated): a cell served
+  /// from memory records none.
+  std::optional<Phase> OutsidePhase;
 };
 
 /// Dedups every selected table's grid by runCached key, preserving first-
@@ -126,7 +134,13 @@ uint64_t runPass(std::vector<TableRun> &Tables,
     Current = &TR;
     uint64_t R0 = nowNs();
     uint64_t Misses0 = driver::resultCacheStats().Misses;
-    TR.ExitCode = captureStdout([] { return Current->T.Run(); }, TR.Output);
+    {
+      PhaseRecorder Rec; // run() runs on this thread.
+      TR.ExitCode = captureStdout([] { return Current->T.Run(); }, TR.Output);
+      for (unsigned P = 0; P != NumPhases && !TR.OutsidePhase; ++P)
+        if (Rec.calls(static_cast<Phase>(P)))
+          TR.OutsidePhase = static_cast<Phase>(P);
+    }
     TR.UndeclaredMisses += driver::resultCacheStats().Misses - Misses0;
     TR.RunNs = nowNs() - R0;
     if (TR.ExitCode != 0)
@@ -155,6 +169,9 @@ template <typename FnT> bool writeFile(const std::string &Path, FnT Fill) {
   return Ok;
 }
 
+/// The most pool workers --threads may ask for.
+constexpr unsigned MaxThreads = 1024;
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -172,8 +189,7 @@ int main(int argc, char **argv) {
     else if (!std::strcmp(argv[I], "--tables") && I + 1 != argc)
       Selected = splitList(argv[++I]);
     else if (!std::strcmp(argv[I], "--threads") && I + 1 != argc &&
-             (!std::strcmp(argv[I + 1], "0") ||
-              parsePositive(argv[I + 1], Threads)))
+             parseNonNegative(argv[I + 1], Threads) && Threads <= MaxThreads)
       ++I;
     else if (!std::strcmp(argv[I], "--store") && I + 1 != argc)
       StoreDir = argv[++I];
@@ -438,6 +454,12 @@ int main(int argc, char **argv) {
                    "cache %llu times on cells its jobs() did not declare\n",
                    TR.T.Name.c_str(),
                    static_cast<unsigned long long>(TR.UndeclaredMisses));
+      Rc = 1;
+    } else if (TR.OutsidePhase) {
+      std::fprintf(stderr,
+                   "SUITE GATE FAILED: table %s: run() did work outside the "
+                   "grid, first in phase %s\n",
+                   TR.T.Name.c_str(), phaseName(*TR.OutsidePhase));
       Rc = 1;
     }
   if (Measure && MinDiskHitRate > 0 && DiskHitRate < MinDiskHitRate) {

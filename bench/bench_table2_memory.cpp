@@ -3,51 +3,96 @@
 // Regenerates Table 2: the simulated memory-hierarchy parameters, printed
 // from the live MachineConfig (not hard-coded prose), plus a measured
 // latency verification: a pointer-stride kernel sized to each level must see
-// average load latencies bracketing that level's configured latency.
+// average load latencies bracketing that level's configured latency. The
+// four probes are grid jobs like any other table cell, so they are
+// computed on the suite's pool, served from the store when warm, and
+// checked against the AST oracle.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "Suite.h"
 
+#include <iterator>
+
 using namespace bsched;
 using namespace bsched::bench;
 
 namespace {
 
-/// Measures average cycles per iteration of a serial pointer-stride loop
-/// whose footprint targets one cache level.
-double measureSerialLoadLatency(int64_t Elems, int64_t StrideElems) {
-  int64_t Iters = 40000;
+/// Iterations of each probe's chase loop.
+constexpr int64_t ChaseIters = 40000;
+
+/// One probe per level: a footprint sized to the level, and the latency the
+/// machine configures for it.
+struct Probe {
+  const char *Footprint;
+  int64_t Elems;
+  const char *Level;
+  int Latency;
+};
+const sim::MachineConfig Machine;
+const Probe Probes[] = {
+    {"4KB", 512, "L1", Machine.L1D.Latency},
+    {"64KB", 8192, "L2", Machine.L2.Latency},
+    {"1MB", 131072, "L3", Machine.L3.Latency},
+    {"8MB", 1048576, "memory", Machine.MemoryLatency},
+};
+constexpr size_t NumProbes = std::size(Probes);
+
+/// A serial pointer-stride loop over \p Elems words: it builds a cyclic
+/// permutation with the given stride, then chases it.
+std::string chaseSource(int64_t Elems, int64_t StrideElems) {
   std::string Src = "array A[" + std::to_string(Elems) +
                     "] int;\narray Out[4] output;\nvar k int = 0;\n";
-  // Build a cyclic permutation with the given stride, then chase it.
   Src += "for (i = 0; i < " + std::to_string(Elems) + "; i += 1) { A[i] = 0; }\n";
   Src += "for (i = 0; i < " + std::to_string(Elems / StrideElems) +
          "; i += 1) { A[i * " + std::to_string(StrideElems) + "] = i * " +
          std::to_string(StrideElems) + " + " + std::to_string(StrideElems) +
          "; }\n";
   Src += "A[" + std::to_string(Elems - StrideElems) + "] = 0;\n";
-  Src += "for (r = 0; r < " + std::to_string(Iters) +
+  Src += "for (r = 0; r < " + std::to_string(ChaseIters) +
          "; r += 1) { k = A[k]; }\n";
   Src += "Out[0] = k + 0.0;\n";
-
-  sim::SimResult Cold = sim::simulate(compileProbe(Src, "latency-probe"));
-  // Cycles per chase iteration ~ issue + load latency + loop overhead; the
-  // chase loop dominates the run.
-  return static_cast<double>(Cold.LoadInterlockCycles) /
-         static_cast<double>(Iters);
+  return Src;
 }
 
-// The table prints live MachineConfig parameters and probes latencies with
-// direct simulate() calls; nothing routes through runCached, so the grid is
-// empty.
-std::vector<driver::ExperimentJob> jobs() { return {}; }
+/// The probes' workloads, in Probes order, built on first use. A Workload
+/// points at its name and source text, so both are kept here.
+const std::vector<driver::Workload> &probeWorkloads() {
+  static std::string Names[NumProbes], Sources[NumProbes];
+  static const std::vector<driver::Workload> Workloads = [] {
+    std::vector<driver::Workload> W;
+    for (size_t I = 0; I != NumProbes; ++I) {
+      Names[I] = std::string("latency-probe-") + Probes[I].Footprint;
+      Sources[I] = chaseSource(Probes[I].Elems, /*StrideElems=*/8);
+      W.push_back({Names[I].c_str(), "", "", "serial pointer chase",
+                   Sources[I].c_str()});
+    }
+    return W;
+  }();
+  return Workloads;
+}
+
+/// Average stall cycles per chase iteration: the chase loop dominates the
+/// run, and each iteration waits out one load.
+double serialLoadStall(const driver::Workload &W) {
+  const driver::RunResult &R = mustRun(W, probeOptions(), Machine);
+  return static_cast<double>(R.Sim.LoadInterlockCycles) /
+         static_cast<double>(ChaseIters);
+}
+
+std::vector<driver::ExperimentJob> jobs() {
+  std::vector<driver::ExperimentJob> Jobs;
+  for (const driver::Workload &W : probeWorkloads())
+    Jobs.push_back({&W, probeOptions(), Machine});
+  return Jobs;
+}
 
 int run() {
   heading("Table 2: Memory hierarchy parameters (simulated 21164)");
 
-  sim::MachineConfig C;
+  const sim::MachineConfig &C = Machine;
   Table T({"Level", "Size", "Assoc", "Line", "Latency (cycles)"});
   auto Kb = [](uint64_t B) { return std::to_string(B / 1024) + "KB"; };
   T.addRow({"L1 I-cache", Kb(C.L1I.SizeBytes), std::to_string(C.L1I.Assoc),
@@ -77,21 +122,10 @@ int run() {
   heading("Verification: measured serial-load stall per level");
   Table V({"Footprint", "Expected level", "Configured latency",
            "Measured stall/load"});
-  struct Probe {
-    const char *Name;
-    int64_t Elems;
-    const char *Level;
-    int Latency;
-  } Probes[] = {
-      {"4KB", 512, "L1", C.L1D.Latency},
-      {"64KB", 8192, "L2", C.L2.Latency},
-      {"1MB", 131072, "L3", C.L3.Latency},
-      {"8MB", 1048576, "memory", C.MemoryLatency},
-  };
-  for (const Probe &P : Probes) {
-    double Measured = measureSerialLoadLatency(P.Elems, /*StrideElems=*/8);
-    V.addRow({P.Name, P.Level, std::to_string(P.Latency),
-              fmtDouble(Measured, 1)});
+  for (size_t I = 0; I != NumProbes; ++I) {
+    const Probe &P = Probes[I];
+    V.addRow({P.Footprint, P.Level, std::to_string(P.Latency),
+              fmtDouble(serialLoadStall(probeWorkloads()[I]), 1)});
   }
   emit(V);
   return 0;

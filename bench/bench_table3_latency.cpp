@@ -2,12 +2,17 @@
 //
 // Regenerates Table 3: fixed instruction latencies, read from the live
 // opcode table, with a measured verification: a serial dependence chain of
-// each instruction class must cost its configured latency per link.
+// each instruction class must cost its configured latency per link. The
+// five chains are grid jobs like any other table cell, so they are computed
+// on the suite's pool, served from the store when warm, and checked against
+// the AST oracle.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "Suite.h"
+
+#include <iterator>
 
 using namespace bsched;
 using namespace bsched::bench;
@@ -15,23 +20,65 @@ using namespace bsched::ir;
 
 namespace {
 
-/// Cycles per link of a serial chain of the given expression (the update
-/// must depend on the previous value).
-double measureChain(const std::string &VarDecls, const std::string &Update) {
-  const int64_t Iters = 30000;
-  std::string Src = "array Out[4] output;\n" + VarDecls;
-  Src += "for (r = 0; r < " + std::to_string(Iters) + "; r += 1) { " +
-         Update + " }\n";
+/// Links of each chain.
+constexpr int64_t ChainIters = 30000;
+
+/// One chain per instruction class: the update must depend on the previous
+/// value of x, and each link costs the latency of \p Op.
+struct Probe {
+  const char *Name;
+  const char *Decls;
+  const char *Update;
+  Opcode Op;
+};
+const Probe Probes[] = {
+    {"integer add", "var x int = 1;\n", "x = x + 3;", Opcode::IAdd},
+    {"integer multiply", "var x int = 1;\n", "x = x * 1;", Opcode::IMul},
+    {"FP add", "var x = 1.0;\n", "x = x + 0.5;", Opcode::FAdd},
+    {"FP multiply", "var x = 1.0;\n", "x = x * 1.0001;", Opcode::FMul},
+    {"FP divide", "var x = 123456.0;\n", "x = x / 1.0001;", Opcode::FDiv},
+};
+constexpr size_t NumProbes = std::size(Probes);
+
+std::string chainSource(const Probe &P) {
+  std::string Src = "array Out[4] output;\n" + std::string(P.Decls);
+  Src += "for (r = 0; r < " + std::to_string(ChainIters) + "; r += 1) { " +
+         P.Update + " }\n";
   Src += "Out[0] = x + 0.0;\n";
-  sim::SimResult R = sim::simulate(compileProbe(Src, "latency-chain"));
-  return static_cast<double>(R.FixedInterlockCycles) /
-             static_cast<double>(Iters) +
+  return Src;
+}
+
+/// The chains' workloads, in Probes order, built on first use. A Workload
+/// points at its name and source text, so both are kept here.
+const std::vector<driver::Workload> &probeWorkloads() {
+  static std::string Names[NumProbes], Sources[NumProbes];
+  static const std::vector<driver::Workload> Workloads = [] {
+    std::vector<driver::Workload> W;
+    for (size_t I = 0; I != NumProbes; ++I) {
+      Names[I] = std::string("latency-chain-") + Probes[I].Name;
+      Sources[I] = chainSource(Probes[I]);
+      W.push_back({Names[I].c_str(), "", "", "serial dependence chain",
+                   Sources[I].c_str()});
+    }
+    return W;
+  }();
+  return Workloads;
+}
+
+/// Cycles per link of a chain.
+double cyclesPerLink(const driver::Workload &W) {
+  const driver::RunResult &R = mustRun(W, probeOptions());
+  return static_cast<double>(R.Sim.FixedInterlockCycles) /
+             static_cast<double>(ChainIters) +
          1.0; // issue slot of the chain instruction itself
 }
 
-// Reads the live opcode table and probes latencies with direct simulate()
-// calls; nothing routes through runCached, so the grid is empty.
-std::vector<bsched::driver::ExperimentJob> jobs() { return {}; }
+std::vector<driver::ExperimentJob> jobs() {
+  std::vector<driver::ExperimentJob> Jobs;
+  for (const driver::Workload &W : probeWorkloads())
+    Jobs.push_back({&W, probeOptions(), sim::MachineConfig{}});
+  return Jobs;
+}
 
 int run() {
   heading("Table 3: Processor latencies (from the opcode table)");
@@ -51,26 +98,9 @@ int run() {
 
   heading("Verification: measured cycles per serial-chain link");
   Table V({"Chain", "Configured", "Measured"});
-  struct Probe {
-    const char *Name;
-    const char *Decls;
-    const char *Update;
-    int Expect;
-  } Probes[] = {
-      {"integer add", "var x int = 1;\n", "x = x + 3;",
-       opInfo(Opcode::IAdd).Latency},
-      {"integer multiply", "var x int = 1;\n", "x = x * 1;",
-       opInfo(Opcode::IMul).Latency},
-      {"FP add", "var x = 1.0;\n", "x = x + 0.5;",
-       opInfo(Opcode::FAdd).Latency},
-      {"FP multiply", "var x = 1.0;\n", "x = x * 1.0001;",
-       opInfo(Opcode::FMul).Latency},
-      {"FP divide", "var x = 123456.0;\n", "x = x / 1.0001;",
-       opInfo(Opcode::FDiv).Latency},
-  };
-  for (const Probe &P : Probes)
-    V.addRow({P.Name, std::to_string(P.Expect),
-              fmtDouble(measureChain(P.Decls, P.Update), 1)});
+  for (size_t I = 0; I != NumProbes; ++I)
+    V.addRow({Probes[I].Name, std::to_string(opInfo(Probes[I].Op).Latency),
+              fmtDouble(cyclesPerLink(probeWorkloads()[I]), 1)});
   emit(V);
   return 0;
 }

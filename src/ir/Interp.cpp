@@ -12,7 +12,7 @@ using namespace bsched::ir;
 //===----------------------------------------------------------------------===//
 
 ExecState::ExecState(const Module &M)
-    : Regs(M.Fn.numRegs(), 0), Memory(M.MemorySize, 0) {
+    : Regs(M.Fn.numRegs(), 0), Memory(M.MemorySize) {
   assert(M.MemorySize != 0 && "module must be laid out before execution");
 }
 

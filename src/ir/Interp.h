@@ -16,6 +16,7 @@
 #define BALSCHED_IR_INTERP_H
 
 #include "ir/IR.h"
+#include "support/ZeroBuffer.h"
 
 #include <array>
 #include <cassert>
@@ -106,8 +107,6 @@ public:
     return static_cast<uint64_t>(readInt(I.Base) + I.Offset);
   }
 
-  const std::vector<uint8_t> &memory() const { return Memory; }
-
   /// Raw state access for the predecoded execution loops: the register file
   /// and memory image are separate allocations, so hot loops may hold
   /// restrict-qualified pointers to both without reloading them across
@@ -121,7 +120,7 @@ public:
 
 private:
   std::vector<uint64_t> Regs;
-  std::vector<uint8_t> Memory;
+  ZeroBuffer<uint8_t> Memory;
 };
 
 /// Architecturally executes one non-terminator instruction (terminators are

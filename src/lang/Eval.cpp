@@ -12,6 +12,8 @@
 
 #include "lang/Eval.h"
 
+#include "support/ZeroBuffer.h"
+
 #include <bit>
 #include <cstring>
 #include <utility>
@@ -106,7 +108,7 @@ public:
       Base.push_back(Base.back() + N);
     }
     // Zero-initialized, as in the IR machine's memory image.
-    Cells.assign(Base.back(), 0);
+    Cells = ZeroBuffer<uint64_t>(Base.back());
     for (const ArrayDecl &A : P.Arrays)
       if (A.IsOutput) {
         size_t I = static_cast<size_t>(arrayIndex(A.Name));
@@ -239,7 +241,7 @@ private:
   const Program &P;
   std::vector<Op> Code;
   std::vector<uint64_t> Regs;  ///< register file, holding initial values.
-  std::vector<uint64_t> Cells; ///< every array's cells, in declaration order.
+  ZeroBuffer<uint64_t> Cells;  ///< every array's cells, in declaration order.
   std::vector<uint64_t> Base;  ///< array I's cells are [Base[I], Base[I+1]).
   /// Cell ranges the checksum covers, one per output declaration.
   std::vector<std::pair<uint64_t, uint64_t>> Outputs;

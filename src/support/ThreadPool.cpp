@@ -6,9 +6,18 @@
 
 using namespace bsched;
 
+static unsigned resolveThreads(unsigned NumThreads) {
+  return NumThreads ? NumThreads
+                    : std::max(1u, std::thread::hardware_concurrency());
+}
+
+unsigned ThreadPool::workersFor(unsigned NumThreads, size_t Count) {
+  size_t Threads = resolveThreads(NumThreads);
+  return static_cast<unsigned>(std::clamp<size_t>(Count, 1, Threads));
+}
+
 ThreadPool::ThreadPool(unsigned NumThreads) {
-  if (NumThreads == 0)
-    NumThreads = std::max(1u, std::thread::hardware_concurrency());
+  NumThreads = resolveThreads(NumThreads);
   Workers.reserve(NumThreads);
   for (unsigned I = 0; I != NumThreads; ++I)
     Workers.emplace_back([this] { workerLoop(); });

@@ -48,6 +48,12 @@ public:
 
   unsigned numThreads() const { return static_cast<unsigned>(Workers.size()); }
 
+  /// The workers parallelFor and parallelForChunked (the calling thread
+  /// among them) use for \p Count indices on \p NumThreads threads (0 = one
+  /// per hardware thread): never more than there are indices, so a large
+  /// request costs no idle threads.
+  static unsigned workersFor(unsigned NumThreads, size_t Count);
+
   /// Enqueues \p Task. Safe to call from any thread, including from inside
   /// a running task.
   void submit(std::function<void()> Task);
@@ -55,68 +61,73 @@ public:
   /// Blocks until every task submitted so far has completed.
   void wait();
 
-  /// Runs Fn(0) .. Fn(Count-1) on \p NumThreads workers and waits for all
-  /// of them. Convenience for the "compile every job of an experiment"
-  /// pattern; with NumThreads == 1 the work still flows through a single
-  /// worker, so code paths match the parallel case exactly.
+  /// Runs Fn(0) .. Fn(Count-1) on \p NumThreads workers (at most Count) and
+  /// waits for all of them. Convenience for the "compile every job of an
+  /// experiment" pattern; with NumThreads == 1 the work still flows through
+  /// a single worker, so code paths match the parallel case exactly.
   template <typename FnT>
   static void parallelFor(unsigned NumThreads, size_t Count, FnT Fn) {
-    ThreadPool Pool(NumThreads);
+    if (Count == 0)
+      return;
+    ThreadPool Pool(workersFor(NumThreads, Count));
     for (size_t I = 0; I != Count; ++I)
       Pool.submit([Fn, I] { Fn(I); });
     Pool.wait();
   }
 
-  /// Runs Fn(0) .. Fn(Count-1) on \p NumThreads workers with one pool task
-  /// per *worker*, each draining chunks of the index range per \p Policy,
-  /// instead of one task per index. For cheap iterations (a memoized cache
-  /// lookup, a sub-millisecond compile) this removes the queue mutex and
-  /// condition-variable round trip from the per-iteration cost: dispatch
-  /// touches the shared queue NumThreads times total, and all further
-  /// scheduling is a relaxed fetch_add on the chunk cursor.
+  /// Runs Fn(0) .. Fn(Count-1) on \p NumThreads threads (at most Count),
+  /// each draining chunks of the index range per \p Policy, and waits for
+  /// all of them. The calling thread is worker 0 and starts on its share at
+  /// once; the other workers are threads started with their share already
+  /// assigned. No index waits on a task queue or on waking a sleeping
+  /// worker, and all scheduling after the start is a relaxed fetch_add on
+  /// the chunk cursor: for microsecond iterations (a memoized lookup, a
+  /// store load) such hand-offs would be much of the loop's time. Each
+  /// worker calls its own copy of \p Fn. With one worker the loop runs
+  /// inline, and a PhaseRecorder active on the calling thread records
+  /// worker 0's share.
   template <typename FnT>
   static void parallelForChunked(unsigned NumThreads, size_t Count, FnT Fn,
                                  ChunkPolicy Policy = ChunkPolicy::Guided) {
     if (Count == 0)
       return;
-    ThreadPool Pool(NumThreads);
-    unsigned T = Pool.numThreads();
-    if (Policy == ChunkPolicy::Static) {
-      // Balanced contiguous slices: the first Count % T workers take one
-      // extra index, so slice sizes differ by at most one.
-      size_t Base = Count / T, Extra = Count % T, Start = 0;
-      for (unsigned W = 0; W != T && Start != Count; ++W) {
-        size_t Len = Base + (W < Extra ? 1 : 0);
-        size_t End = Start + Len;
-        Pool.submit([Fn, Start, End] {
-          for (size_t I = Start; I != End; ++I)
-            Fn(I);
-        });
-        Start = End;
+    unsigned T = workersFor(NumThreads, Count);
+    std::atomic<size_t> Cursor{0};
+    auto Work = [Fn, Policy, Count, T, Next = &Cursor](unsigned W) {
+      if (Policy == ChunkPolicy::Static) {
+        // Balanced contiguous slices: the first Count % T workers take one
+        // extra index, so slice sizes differ by at most one (and, as T <=
+        // Count, none is empty).
+        size_t Base = Count / T, Extra = Count % T;
+        size_t Start = W * Base + std::min<size_t>(W, Extra);
+        size_t End = Start + Base + (W < Extra ? 1 : 0);
+        for (size_t I = Start; I != End; ++I)
+          Fn(I);
+        return;
       }
-    } else {
       // Guided: shrinking grabs from a shared cursor. The chunk size is
       // computed from a possibly-stale remaining count, which is harmless:
       // the fetch_add is the only claim, and the tail clamps to Count.
-      auto Next = std::make_shared<std::atomic<size_t>>(0);
-      for (unsigned W = 0; W != T; ++W) {
-        Pool.submit([Fn, Next, Count, T] {
-          for (;;) {
-            size_t Seen = Next->load(std::memory_order_relaxed);
-            if (Seen >= Count)
-              return;
-            size_t Chunk = std::max<size_t>(1, (Count - Seen) / (2 * T));
-            size_t Start = Next->fetch_add(Chunk, std::memory_order_relaxed);
-            if (Start >= Count)
-              return;
-            size_t End = std::min(Count, Start + Chunk);
-            for (size_t I = Start; I != End; ++I)
-              Fn(I);
-          }
-        });
+      for (;;) {
+        size_t Seen = Next->load(std::memory_order_relaxed);
+        if (Seen >= Count)
+          return;
+        size_t Chunk = std::max<size_t>(1, (Count - Seen) / (2 * T));
+        size_t Start = Next->fetch_add(Chunk, std::memory_order_relaxed);
+        if (Start >= Count)
+          return;
+        size_t End = std::min(Count, Start + Chunk);
+        for (size_t I = Start; I != End; ++I)
+          Fn(I);
       }
-    }
-    Pool.wait();
+    };
+    std::vector<std::thread> Helpers;
+    Helpers.reserve(T - 1);
+    for (unsigned W = 1; W != T; ++W)
+      Helpers.emplace_back(Work, W); // the thread keeps a copy of Work.
+    Work(0);
+    for (std::thread &H : Helpers)
+      H.join();
   }
 
 private:

@@ -21,9 +21,13 @@ foreach(Flag --threads --min-warm-speedup --min-disk-hit-rate)
   expect_exit(2 ${Flag} "")
 endforeach()
 expect_exit(2 --min-disk-hit-rate 1.5)
+# The worker ceiling; behind --list, no pool starts.
+expect_exit(2 --threads 1025)
+expect_exit(2 --threads 100000)
 
 expect_exit(0 --threads 0)
 expect_exit(0 --threads 4)
+expect_exit(0 --threads 1024)
 expect_exit(0 --min-warm-speedup 5)
 expect_exit(0 --min-disk-hit-rate 0.99)
 expect_exit(0 --min-disk-hit-rate 1)

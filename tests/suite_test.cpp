@@ -1,16 +1,17 @@
 //===- tests/suite_test.cpp - Suite output byte-identity -------------------===//
 //
-// The suite runner's determinism contract, tested in-process on Table 1
-// and Table 4: a table's run() bytes are invariant
+// The suite runner's determinism contract, tested in-process on Tables 1-4:
+// a table's run() bytes are invariant
 //
 //  * across thread counts of the warmup fan-out,
 //  * across cache tiers — freshly computed, memory-warm, and
 //    disk-warm (loaded back from a persistent store), and
-//  * across table order (deduplicated jobs shared between tables).
+//  * across table order (deduplicated jobs shared between Tables 1 and 4).
 //
 // Tables 1-4 are also pinned to known bytes: each one's output FNV-1a must
 // equal its line in perfbench/pinned_fnv.txt. This runs the Table 2 and 3
-// latency probes in the ctest matrix, where ASan/UBSan run.
+// latency probes in the ctest matrix, where ASan/UBSan run. And once its
+// grid is warm, a table's run() computes nothing: it only reads cells.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 
 #include "driver/ArtifactStore.h"
 #include "driver/ProfileCache.h"
+#include "support/PhaseRecord.h"
 #include "support/Serialize.h"
 
 #include <gtest/gtest.h>
@@ -43,8 +45,11 @@ BSCHED_SUITE_DECLARE(table4_unroll_bs)
 
 namespace {
 
+/// Tables 1-4, the tables these tests run.
 std::vector<SuiteTable> testTables() {
   return {bsched_suite_table_table1_workload(),
+          bsched_suite_table_table2_memory(),
+          bsched_suite_table_table3_latency(),
           bsched_suite_table_table4_unroll_bs()};
 }
 
@@ -148,10 +153,7 @@ TEST_F(SuiteTest, OutputInvariantAcrossCacheTiers) {
 TEST_F(SuiteTest, TablesMatchPinnedFnv) {
   std::map<std::string, uint64_t> Pins = pinnedFnvs();
   ASSERT_FALSE(Pins.empty()) << "cannot read " << BSCHED_PINNED_FNV;
-  for (const SuiteTable &T : {bsched_suite_table_table1_workload(),
-                              bsched_suite_table_table2_memory(),
-                              bsched_suite_table_table3_latency(),
-                              bsched_suite_table_table4_unroll_bs()}) {
+  for (const SuiteTable &T : testTables()) {
     clearMemoryCaches();
     runAll(T.Jobs(), 2);
     uint64_t Fnv = fnv1a(captureTable(T));
@@ -163,11 +165,27 @@ TEST_F(SuiteTest, TablesMatchPinnedFnv) {
   }
 }
 
+// A table's run() only reads the cells its jobs() declared: once they are in
+// memory it records no phase at all — no parse, evaluation, compile,
+// simulation or store load (runCached's tier note).
+TEST_F(SuiteTest, RunComputesNothingOutsideTheGrid) {
+  for (const SuiteTable &T : testTables()) {
+    clearMemoryCaches();
+    runAll(T.Jobs(), 2);
+    PhaseRecorder Rec;
+    captureTable(T);
+    for (unsigned P = 0; P != NumPhases; ++P)
+      EXPECT_EQ(Rec.calls(static_cast<Phase>(P)), 0u)
+          << T.Name << ": run() recorded " << phaseName(static_cast<Phase>(P));
+  }
+}
+
 TEST_F(SuiteTest, TablesShareDedupedJobs) {
   // Table 1's whole grid is a subset of Table 4's unroll-1 column: the
   // suite-level dedup must collapse it to zero extra jobs, and running the
   // tables back to back off one cache must not change either's bytes.
-  std::vector<SuiteTable> Tables = testTables();
+  std::vector<SuiteTable> Tables = {bsched_suite_table_table1_workload(),
+                                    bsched_suite_table_table4_unroll_bs()};
   std::unordered_set<std::string> Keys;
   for (const driver::ExperimentJob &J : Tables[1].Jobs())
     Keys.insert(resultKey(*J.W, J.Opts, J.Machine));

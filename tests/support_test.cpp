@@ -5,10 +5,16 @@
 #include "support/Str.h"
 #include "support/Table.h"
 #include "support/ThreadPool.h"
+#include "support/ZeroBuffer.h"
 
 #include <atomic>
+#include <cstring>
 #include <gtest/gtest.h>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
+#include <utility>
 #include <vector>
 
 using namespace bsched;
@@ -243,4 +249,121 @@ TEST(ThreadPoolChunked, GuidedResultsIndependentOfThreadCount) {
   std::vector<uint64_t> One = Run(1);
   std::vector<uint64_t> Eight = Run(8);
   EXPECT_EQ(One, Eight);
+}
+
+// A pool never starts more workers than there are indices. The ceiling is
+// checked on workersFor, which starts no thread; only the small case runs.
+TEST(ThreadPoolChunked, NoMoreWorkersThanIndices) {
+  EXPECT_EQ(ThreadPool::workersFor(8, 3), 3u);
+  EXPECT_EQ(ThreadPool::workersFor(2, 3), 2u);
+  EXPECT_EQ(ThreadPool::workersFor(0, 1), 1u);
+  EXPECT_EQ(ThreadPool::workersFor(4294967295u, 5), 5u);
+
+  std::mutex M;
+  std::set<std::thread::id> Ids;
+  auto Note = [&](size_t) {
+    std::lock_guard<std::mutex> Lock(M);
+    Ids.insert(std::this_thread::get_id());
+  };
+  ThreadPool::parallelForChunked(8, 3, Note);
+  EXPECT_LE(Ids.size(), 3u);
+  Ids.clear();
+  ThreadPool::parallelFor(8, 3, Note);
+  EXPECT_LE(Ids.size(), 3u);
+}
+
+// The calling thread is worker 0 of a chunked loop: it runs the first
+// static slice itself, and a one-worker loop runs inline.
+TEST(ThreadPoolChunked, CallingThreadIsWorkerZero) {
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::vector<std::thread::id> Ran(8);
+  ThreadPool::parallelForChunked(
+      4, Ran.size(), [&](size_t I) { Ran[I] = std::this_thread::get_id(); },
+      ChunkPolicy::Static);
+  EXPECT_EQ(Ran[0], Caller);
+  EXPECT_EQ(Ran[1], Caller);
+  EXPECT_NE(Ran[2], Caller);
+
+  Ran.assign(5, std::thread::id());
+  ThreadPool::parallelForChunked(
+      1, Ran.size(), [&](size_t I) { Ran[I] = std::this_thread::get_id(); });
+  for (std::thread::id Id : Ran)
+    EXPECT_EQ(Id, Caller);
+}
+
+//===----------------------------------------------------------------------===//
+// ZeroBuffer
+//===----------------------------------------------------------------------===//
+
+// Every block reads zero, below the map threshold (calloc) and at or above
+// it (a mapping of its own). Each size is allocated three times and dirtied
+// in between, so an allocator that reuses the freed block without zeroing
+// it shows.
+TEST(ZeroBuffer, ReadsZeroBelowAndAboveTheMapThreshold) {
+  for (size_t Bytes : {size_t(64), ZeroBufferMapBytes / 2,
+                       ZeroBufferMapBytes - 8, ZeroBufferMapBytes,
+                       2 * ZeroBufferMapBytes + 8}) {
+    for (int Round = 0; Round != 3; ++Round) {
+      ZeroBuffer<uint64_t> B(Bytes / 8);
+      ASSERT_EQ(B.size(), Bytes / 8);
+      size_t NonZero = 0;
+      for (size_t I = 0; I != B.size(); ++I)
+        NonZero += B[I] != 0;
+      EXPECT_EQ(NonZero, 0u) << Bytes << " bytes, round " << Round;
+      std::memset(B.data(), 0xa5, Bytes);
+    }
+  }
+}
+
+TEST(ZeroBuffer, CopiesAreDeep) {
+  for (size_t N : {size_t(16), ZeroBufferMapBytes + 1}) {
+    ZeroBuffer<uint8_t> A(N);
+    A[0] = 1;
+    A[N - 1] = 2;
+    ZeroBuffer<uint8_t> B = A;
+    ASSERT_EQ(B.size(), N);
+    EXPECT_NE(B.data(), A.data());
+    EXPECT_EQ(B[0], 1);
+    EXPECT_EQ(B[N - 1], 2);
+    B[0] = 3;
+    EXPECT_EQ(A[0], 1);
+
+    ZeroBuffer<uint8_t> C(1);
+    C = A;
+    ASSERT_EQ(C.size(), N);
+    C[N - 1] = 4;
+    EXPECT_EQ(A[N - 1], 2);
+  }
+}
+
+TEST(ZeroBuffer, MovedFromIsEmpty) {
+  ZeroBuffer<uint64_t> A(4);
+  A[3] = 7;
+  uint64_t *Data = A.data();
+  ZeroBuffer<uint64_t> B = std::move(A);
+  EXPECT_EQ(A.size(), 0u);
+  EXPECT_EQ(A.data(), nullptr);
+  EXPECT_EQ(B.data(), Data);
+  EXPECT_EQ(B[3], 7u);
+
+  ZeroBuffer<uint64_t> C(2);
+  C = std::move(B);
+  EXPECT_EQ(B.size(), 0u);
+  EXPECT_EQ(B.data(), nullptr);
+  EXPECT_EQ(C.size(), 4u);
+  EXPECT_EQ(C[3], 7u);
+}
+
+TEST(ZeroBuffer, SizeZero) {
+  ZeroBuffer<uint64_t> Empty;
+  ZeroBuffer<uint64_t> Z(0);
+  EXPECT_EQ(Empty.size(), 0u);
+  EXPECT_EQ(Z.size(), 0u);
+  EXPECT_EQ(Z.data(), nullptr);
+  ZeroBuffer<uint64_t> Copy = Z;
+  EXPECT_EQ(Copy.size(), 0u);
+  Copy = ZeroBuffer<uint64_t>(3);
+  EXPECT_EQ(Copy.size(), 3u);
+  Copy = Empty;
+  EXPECT_EQ(Copy.size(), 0u);
 }
