@@ -4,8 +4,8 @@
 /// Helpers shared by the table sources and the tracker benches:
 /// configuration constructors (the latency probes' among them), the
 /// per-benchmark run loop with failure reporting, printf-free table
-/// emission, wall-clock timing, strict numeric flags, and the BENCH_*.json
-/// helpers.
+/// emission, wall-clock timing, and the BENCH_*.json helpers. The strict
+/// numeric flag parsers are support/Str.h's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,14 +17,10 @@
 #include "support/Table.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <system_error>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -120,31 +116,6 @@ template <typename FnT> uint64_t bestOf(int Reps, FnT Fn) {
     Best = std::min(Best, nowNs() - T0);
   }
   return Best;
-}
-
-/// Reads all of \p Text as a number of at least 0 into \p Out; false, with
-/// \p Out unchanged, for junk, trailing characters or a negative value, so
-/// a numeric flag never reads a typo as 0.
-template <typename T> bool parseNonNegative(const char *Text, T &Out) {
-  const char *End = Text + std::strlen(Text);
-  T V{};
-  auto [Ptr, Err] = std::from_chars(Text, End, V);
-  if (Err != std::errc() || Ptr != End)
-    return false;
-  if constexpr (!std::is_unsigned_v<T>)
-    if (!(V >= 0)) // refuses a NaN too
-      return false;
-  Out = V;
-  return true;
-}
-
-/// As parseNonNegative, but 0 is refused too.
-template <typename T> bool parsePositive(const char *Text, T &Out) {
-  T V{};
-  if (!parseNonNegative(Text, V) || !(V > 0))
-    return false;
-  Out = V;
-  return true;
 }
 
 // The BENCH_*.json helpers of the trackers and bsched-suite (defined in

@@ -355,8 +355,7 @@ SustainedResult runSustained(bool Quick, unsigned MaxThreads) {
     driver::clearProfileCache();
     uint64_t T0 = nowNs();
     ThreadPool::parallelForChunked(
-        T, NumRequests, [&](size_t I) { Digests[I] = Exec(Reqs[I]); },
-        ChunkPolicy::Guided);
+        T, NumRequests, [&](size_t I) { Digests[I] = Exec(Reqs[I]); });
     uint64_t Wall = nowNs() - T0;
     uint64_t D = combineDigests(Digests);
     if (T == 1) {
@@ -531,13 +530,10 @@ int main(int argc, char **argv) {
     uint64_t BaseDigest = 0;
     for (unsigned T = 1; T <= MaxThreads; T *= 2) {
       uint64_t T0 = nowNs();
-      ThreadPool::parallelForChunked(
-          T, Jobs.size(),
-          [&](size_t I) {
-            CompileResult CR = compileProgram(Jobs[I].P, Jobs[I].Opts);
-            Digests[I] = moduleDigest(CR.M);
-          },
-          ChunkPolicy::Guided);
+      ThreadPool::parallelForChunked(T, Jobs.size(), [&](size_t I) {
+        CompileResult CR = compileProgram(Jobs[I].P, Jobs[I].Opts);
+        Digests[I] = moduleDigest(CR.M);
+      });
       Scaling.push_back({T, nowNs() - T0});
       uint64_t D = combineDigests(Digests);
       if (T == 1)

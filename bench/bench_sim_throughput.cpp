@@ -246,7 +246,7 @@ int main(int argc, char **argv) {
   std::vector<ScalePoint> Scaling;
   for (unsigned T = 1; T <= MaxThreads; T *= 2) {
     uint64_t T0 = nowNs();
-    ThreadPool::parallelFor(T, Modules.size(), [&](size_t I) {
+    ThreadPool::parallelForChunked(T, Modules.size(), [&](size_t I) {
       sim::SimResult S = sim::simulate(Modules[I], {});
       (void)S;
     });

@@ -28,15 +28,14 @@
 //   --store DIR              artifact store directory
 //   --measure                forced-cold pass (disk reads off) then warm
 //                            pass (memory cleared, disk reads on); records
-//                            both and checks the outputs byte-identical
+//                            both, checks the outputs byte-identical, and
+//                            fails unless the store served every unique job
+//                            of the warm pass
 //   --json PATH              write the suite JSON (none unless given)
 //   --out-dir DIR            also write per-table <name>.txt / <name>.json
-//   --min-disk-hit-rate X    gate: warm-pass disk hit rate floor, in (0, 1]
-//                            (measure)
-//   --min-warm-speedup X     gate: cold/warm wall-time floor, > 0 (measure)
 //
-// A numeric flag whose value does not parse in full or lies outside its
-// range exits 2, naming the flag, before any table runs.
+// A --threads value that does not parse in full or lies outside its range
+// exits 2, naming the flag, before any table runs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -47,14 +46,13 @@
 #include "driver/ProfileCache.h"
 #include "support/PhaseRecord.h"
 #include "support/Serialize.h"
+#include "support/ThreadPool.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -169,9 +167,6 @@ template <typename FnT> bool writeFile(const std::string &Path, FnT Fill) {
   return Ok;
 }
 
-/// The most pool workers --threads may ask for.
-constexpr unsigned MaxThreads = 1024;
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -179,7 +174,6 @@ int main(int argc, char **argv) {
   bool List = false, Measure = false;
   unsigned Threads = 0;
   std::string StoreDir, JsonPath, OutDir;
-  double MinDiskHitRate = 0.0, MinWarmSpeedup = 0.0;
 
   for (int I = 1; I != argc; ++I) {
     if (!std::strcmp(argv[I], "--list"))
@@ -189,7 +183,8 @@ int main(int argc, char **argv) {
     else if (!std::strcmp(argv[I], "--tables") && I + 1 != argc)
       Selected = splitList(argv[++I]);
     else if (!std::strcmp(argv[I], "--threads") && I + 1 != argc &&
-             parseNonNegative(argv[I + 1], Threads) && Threads <= MaxThreads)
+             parseNonNegative(argv[I + 1], Threads) &&
+             Threads <= ThreadPool::MaxThreads)
       ++I;
     else if (!std::strcmp(argv[I], "--store") && I + 1 != argc)
       StoreDir = argv[++I];
@@ -197,12 +192,6 @@ int main(int argc, char **argv) {
       JsonPath = argv[++I];
     else if (!std::strcmp(argv[I], "--out-dir") && I + 1 != argc)
       OutDir = argv[++I];
-    else if (!std::strcmp(argv[I], "--min-disk-hit-rate") && I + 1 != argc &&
-             parsePositive(argv[I + 1], MinDiskHitRate) && MinDiskHitRate <= 1)
-      ++I;
-    else if (!std::strcmp(argv[I], "--min-warm-speedup") && I + 1 != argc &&
-             parsePositive(argv[I + 1], MinWarmSpeedup))
-      ++I;
     else {
       std::fprintf(stderr, "unknown argument or bad value: %s\n", argv[I]);
       return 2;
@@ -215,10 +204,6 @@ int main(int argc, char **argv) {
       std::printf("%-24s %s\n", T.Name.c_str(), T.Title.c_str());
     return 0;
   }
-
-  // Resolved here (as ThreadPool would) so the JSON records the real count.
-  if (Threads == 0)
-    Threads = std::max(1u, std::thread::hardware_concurrency());
 
   std::vector<TableRun> Tables;
   if (Selected.empty()) {
@@ -256,6 +241,8 @@ int main(int argc, char **argv) {
 
   size_t TotalJobs = 0;
   std::vector<driver::ExperimentJob> Unique = collectJobs(Tables, TotalJobs);
+  // The workers the pool will start, so the JSON records the real count.
+  Threads = ThreadPool::workersFor(Threads, Unique.size());
 
   bool AnyFailed = false;
   uint64_t ColdNs = 0, WarmNs = 0;
@@ -462,16 +449,13 @@ int main(int argc, char **argv) {
                    TR.T.Name.c_str(), phaseName(*TR.OutsidePhase));
       Rc = 1;
     }
-  if (Measure && MinDiskHitRate > 0 && DiskHitRate < MinDiskHitRate) {
+  // The warm pass computed nothing: the store served every unique job.
+  if (Measure && WarmStore.DiskHits != Unique.size()) {
     std::fprintf(stderr,
-                 "SUITE GATE FAILED: disk hit rate %.3f < floor %.3f\n",
-                 DiskHitRate, MinDiskHitRate);
-    Rc = 1;
-  }
-  if (Measure && MinWarmSpeedup > 0 && WarmSpeedup < MinWarmSpeedup) {
-    std::fprintf(stderr,
-                 "SUITE GATE FAILED: warm speedup %.2fx < floor %.2fx\n",
-                 WarmSpeedup, MinWarmSpeedup);
+                 "SUITE GATE FAILED: the warm pass had %llu disk hits for "
+                 "%zu unique jobs\n",
+                 static_cast<unsigned long long>(WarmStore.DiskHits),
+                 Unique.size());
     Rc = 1;
   }
   return Rc;

@@ -6,12 +6,15 @@
 #include "support/Serialize.h"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace bsched;
@@ -59,14 +62,46 @@ std::string fileNameForKey(const std::string &Key) {
   return Buf;
 }
 
+/// \p Key's file in the store directory \p Dir.
+std::string pathIn(const std::string &Dir, const std::string &Key) {
+  return Dir + "/" + fileNameForKey(Key);
+}
+
+/// A read-only file descriptor, closed on every path out of its scope.
+class ReadOnlyFd {
+public:
+  explicit ReadOnlyFd(const std::string &Path)
+      : Fd(::open(Path.c_str(), O_RDONLY | O_CLOEXEC)) {}
+  ~ReadOnlyFd() {
+    if (Fd >= 0)
+      ::close(Fd);
+  }
+  ReadOnlyFd(const ReadOnlyFd &) = delete;
+  ReadOnlyFd &operator=(const ReadOnlyFd &) = delete;
+
+  int get() const { return Fd; }
+
+private:
+  int Fd;
+};
+
+/// Reads the whole of \p Path into \p Out: its size from fstat, then a
+/// read loop into a buffer of that size. False, with \p Out unchanged, when
+/// the file cannot be opened or read, or ends short of that size.
 bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
+  ReadOnlyFd F(Path);
+  struct stat St {};
+  if (F.get() < 0 || ::fstat(F.get(), &St) != 0)
     return false;
-  std::string Data((std::istreambuf_iterator<char>(In)),
-                   std::istreambuf_iterator<char>());
-  if (In.bad())
-    return false;
+  std::string Data(static_cast<size_t>(St.st_size), '\0');
+  for (size_t Done = 0; Done != Data.size();) {
+    ssize_t N = ::read(F.get(), Data.data() + Done, Data.size() - Done);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      return false; // a read error, or the file shrank since fstat.
+    Done += static_cast<size_t>(N);
+  }
   Out = std::move(Data);
   return true;
 }
@@ -141,16 +176,17 @@ std::string driver::artifactPath(const std::string &Key) {
   std::string Dir = artifactStoreDir();
   if (Dir.empty())
     return std::string();
-  return Dir + "/" + fileNameForKey(Key);
+  return pathIn(Dir, Key);
 }
 
 bool driver::loadArtifact(const std::string &Key, std::string &PayloadOut) {
-  if (!artifactStoreEnabled() || !artifactStoreReads())
+  std::string Dir = artifactStoreDir();
+  if (Dir.empty() || !artifactStoreReads())
     return false;
   StoreState &S = state();
 
   std::string Data;
-  if (!readFile(artifactPath(Key), Data)) {
+  if (!readFile(pathIn(Dir, Key), Data)) {
     S.DiskMisses.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -199,7 +235,8 @@ bool driver::loadArtifact(const std::string &Key, std::string &PayloadOut) {
 }
 
 bool driver::storeArtifact(const std::string &Key, const std::string &Payload) {
-  if (!artifactStoreEnabled())
+  std::string Dir = artifactStoreDir();
+  if (Dir.empty())
     return false;
   StoreState &S = state();
 
@@ -215,7 +252,7 @@ bool driver::storeArtifact(const std::string &Key, const std::string &Payload) {
   // place: a reader either sees the old complete file or the new complete
   // file, and concurrent writers of one key resolve to last-writer-wins.
   static std::atomic<uint64_t> Seq{0};
-  std::string Final = artifactPath(Key);
+  std::string Final = pathIn(Dir, Key);
   std::string Tmp = Final + ".tmp." +
                     std::to_string(static_cast<unsigned long>(::getpid())) +
                     "." +

@@ -161,16 +161,12 @@ const RunResult &driver::runCached(const Workload &W,
 }
 
 std::vector<const RunResult *>
-driver::runAll(const std::vector<ExperimentJob> &Jobs, unsigned NumThreads,
-               ChunkPolicy Policy) {
+driver::runAll(const std::vector<ExperimentJob> &Jobs, unsigned NumThreads) {
   std::vector<const RunResult *> Results(Jobs.size(), nullptr);
-  ThreadPool::parallelForChunked(
-      NumThreads, Jobs.size(),
-      [&](size_t I) {
-        const ExperimentJob &J = Jobs[I];
-        Results[I] = &runCached(*J.W, J.Opts, J.Machine);
-      },
-      Policy);
+  ThreadPool::parallelForChunked(NumThreads, Jobs.size(), [&](size_t I) {
+    const ExperimentJob &J = Jobs[I];
+    Results[I] = &runCached(*J.W, J.Opts, J.Machine);
+  });
   return Results;
 }
 

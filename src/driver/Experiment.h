@@ -16,7 +16,7 @@
 #include "sim/Machine.h"
 #include "support/CodeVersion.h"
 #include "support/ShardedMemo.h"
-#include "support/ThreadPool.h"
+#include "support/ThreadPool.h" // runAll's loop; perfbench reaches it here.
 
 #include <cstdint>
 #include <string>
@@ -113,18 +113,17 @@ struct ExperimentJob {
   sim::MachineConfig Machine;
 };
 
-/// Runs every job through runCached on \p NumThreads pool workers (0 = one
-/// per hardware thread) and returns the results in job order. Jobs are
-/// dispatched in *batches* — each worker drains chunks of the job list per
-/// \p Policy (guided by default, static selectable) — so the pool queue is
-/// touched once per worker rather than once per compile. Each compile is a
-/// pure function of its job — per-compile RNG streams, no shared mutable
-/// state — and results are written by job index, so the returned vector is
-/// byte-identical for any thread count and chunk policy; the
-/// golden-schedule and compile-service tests assert this.
-std::vector<const RunResult *>
-runAll(const std::vector<ExperimentJob> &Jobs, unsigned NumThreads = 0,
-       ChunkPolicy Policy = ChunkPolicy::Guided);
+/// Runs every job through runCached on \p NumThreads workers (0 = one per
+/// hardware thread), the calling thread among them, and returns the results
+/// in job order. Each worker drains guided chunks of the job list
+/// (ThreadPool::parallelForChunked), so dispatch is one relaxed fetch_add
+/// per chunk, not a queue hand-off per job. Each compile is a pure
+/// function of its job — per-compile RNG streams, no shared mutable state —
+/// and results are written by job index, so the returned vector is
+/// byte-identical for any thread count; the golden-schedule and
+/// compile-service tests assert this.
+std::vector<const RunResult *> runAll(const std::vector<ExperimentJob> &Jobs,
+                                      unsigned NumThreads = 0);
 
 /// Arithmetic mean (the paper reports arithmetic average speedups).
 double mean(const std::vector<double> &Xs);

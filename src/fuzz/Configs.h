@@ -4,7 +4,7 @@
 /// The one shared list of compiler configurations and machine models that
 /// differential testing sweeps. Historically three tests carried hand-copied
 /// variants of these lists (fuzz_test, sim_equivalence_test, golden_sim_test);
-/// they now all include tests/TestConfigs.h, which forwards here, and the
+/// they and the other differential tests now include this header, and the
 /// coverage-guided fuzzer (fuzz::runFuzzer / bsched-fuzz) consumes the same
 /// list — so a config added here is exercised by the fixed-seed sweeps, the
 /// twin-equivalence tests and the fuzzer alike.

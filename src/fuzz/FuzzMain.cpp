@@ -8,14 +8,16 @@
 ///   bsched-fuzz --replay tests/corpus/repro-0-sim-twin-divergence.repro
 ///
 /// Exit status: 0 = clean campaign (or a --replay that no longer fails),
-/// 1 = at least one differential failure, 2 = usage error.
+/// 1 = at least one differential failure, 2 = usage error, among them a
+/// numeric flag whose value does not parse in full or lies outside its
+/// range.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Fuzzer.h"
+#include "support/Str.h"
+#include "support/ThreadPool.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -38,8 +40,9 @@ void printUsage(std::ostream &OS) {
         "                   (default 10; ignored when --rounds is given)\n"
         "  --rounds <n>     run exactly n mutation rounds (deterministic\n"
         "                   regardless of wall clock)\n"
-        "  --threads <n>    worker threads (default 1; results are\n"
-        "                   identical for any value)\n"
+        "  --threads <n>    worker threads, 1 to 1024 (default 1; a round\n"
+        "                   starts no more workers than it has jobs;\n"
+        "                   results are identical for any value)\n"
         "  --seed <n>       campaign seed (default 1)\n"
         "  --jobs <n>       mutated candidates per round (default 24)\n"
         "  --initial <n>    generator-seeded corpus size (default 16)\n"
@@ -60,18 +63,6 @@ void printUsage(std::ostream &OS) {
         "                   report whether it still fails\n"
         "  --quiet          suppress per-round progress lines\n"
         "  --help           this text\n";
-}
-
-bool parseU64(const char *S, uint64_t &Out) {
-  char *End = nullptr;
-  Out = std::strtoull(S, &End, 10);
-  return End && *End == '\0' && End != S;
-}
-
-bool parseF64(const char *S, double &Out) {
-  char *End = nullptr;
-  Out = std::strtod(S, &End);
-  return End && *End == '\0' && End != S;
 }
 
 int replayFile(const std::string &Path) {
@@ -118,35 +109,40 @@ int main(int argc, char **argv) {
       }
       return argv[++I];
     };
-    uint64_t U = 0;
-    double D = 0;
+    auto BadValue = [&] {
+      std::cerr << "bsched-fuzz: bad value for " << A << ": '" << argv[I]
+                << "'\n";
+      return 2;
+    };
     if (A == "--help" || A == "-h") {
       printUsage(std::cout);
       return 0;
     } else if (A == "--seconds") {
       const char *V = NextArg("--seconds");
-      if (!V || !parseF64(V, D) || D < 0) return 2;
-      Opts.Seconds = D;
+      if (!V) return 2;
+      if (!parseNonNegative(V, Opts.Seconds)) return BadValue();
     } else if (A == "--rounds") {
       const char *V = NextArg("--rounds");
-      if (!V || !parseU64(V, U)) return 2;
-      Opts.Rounds = static_cast<int>(U);
+      if (!V) return 2;
+      if (!parseNonNegative(V, Opts.Rounds)) return BadValue();
     } else if (A == "--threads") {
       const char *V = NextArg("--threads");
-      if (!V || !parseU64(V, U) || U == 0) return 2;
-      Opts.Threads = static_cast<unsigned>(U);
+      if (!V) return 2;
+      if (!parsePositive(V, Opts.Threads) ||
+          Opts.Threads > ThreadPool::MaxThreads)
+        return BadValue();
     } else if (A == "--seed") {
       const char *V = NextArg("--seed");
-      if (!V || !parseU64(V, U)) return 2;
-      Opts.Seed = U;
+      if (!V) return 2;
+      if (!parseNonNegative(V, Opts.Seed)) return BadValue();
     } else if (A == "--jobs") {
       const char *V = NextArg("--jobs");
-      if (!V || !parseU64(V, U) || U == 0) return 2;
-      Opts.JobsPerRound = static_cast<int>(U);
+      if (!V) return 2;
+      if (!parsePositive(V, Opts.JobsPerRound)) return BadValue();
     } else if (A == "--initial") {
       const char *V = NextArg("--initial");
-      if (!V || !parseU64(V, U) || U == 0) return 2;
-      Opts.InitialSeeds = static_cast<int>(U);
+      if (!V) return 2;
+      if (!parsePositive(V, Opts.InitialSeeds)) return BadValue();
     } else if (A == "--corpus") {
       const char *V = NextArg("--corpus");
       if (!V) return 2;
@@ -165,8 +161,8 @@ int main(int argc, char **argv) {
       Opts.Oracle.CheckEstimatedProfile = true;
     } else if (A == "--gap-pct") {
       const char *V = NextArg("--gap-pct");
-      if (!V || !parseF64(V, D) || D < 0) return 2;
-      Opts.Oracle.MaxGapPct = D;
+      if (!V) return 2;
+      if (!parseNonNegative(V, Opts.Oracle.MaxGapPct)) return BadValue();
     } else if (A == "--quiet") {
       Opts.Verbose = false;
     } else {

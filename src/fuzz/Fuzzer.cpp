@@ -193,23 +193,19 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts, std::ostream *Log) {
       Corpus.push_back(std::move(J.P));
   };
 
-  ThreadPool Pool(Opts.Threads);
-
   // Round 0: oracle the generator-seeded corpus. Every seed is kept (they
   // are the diversity baseline the mutator walks outward from).
   {
     const size_t N = static_cast<size_t>(std::max(1, Opts.InitialSeeds));
     std::vector<JobResult> Results(N);
-    for (size_t I = 0; I != N; ++I)
-      Pool.submit([&Results, &Opts, I] {
-        RNG Rng(jobSeed(Opts.Seed, I));
-        JobResult R;
-        R.P = lang::generateProgram(Rng.next(), Opts.Generate);
-        R.Mutated = true;
-        R.Run = runOracle(R.P, Opts.Oracle);
-        Results[I] = std::move(R);
-      });
-    Pool.wait();
+    ThreadPool::parallelForChunked(Opts.Threads, N, [&](size_t I) {
+      RNG Rng(jobSeed(Opts.Seed, I));
+      JobResult R;
+      R.P = lang::generateProgram(Rng.next(), Opts.Generate);
+      R.Mutated = true;
+      R.Run = runOracle(R.P, Opts.Oracle);
+      Results[I] = std::move(R);
+    });
     for (JobResult &R : Results)
       Merge(R, /*ForceKeep=*/true);
     if (Log && Opts.Verbose)
@@ -234,13 +230,9 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts, std::ostream *Log) {
     const size_t N = static_cast<size_t>(std::max(1, Opts.JobsPerRound));
     const size_t PrevBits = Global.bitsSet();
     std::vector<JobResult> Results(N);
-    for (size_t I = 0; I != N; ++I) {
-      const uint64_t Seed = jobSeed(Opts.Seed, NextJobIndex + I);
-      Pool.submit([&Results, &Corpus, &Opts, Seed, I] {
-        Results[I] = runJob(Seed, Corpus, Opts);
-      });
-    }
-    Pool.wait();
+    ThreadPool::parallelForChunked(Opts.Threads, N, [&](size_t I) {
+      Results[I] = runJob(jobSeed(Opts.Seed, NextJobIndex + I), Corpus, Opts);
+    });
     NextJobIndex += N;
     for (JobResult &R : Results)
       Merge(R, /*ForceKeep=*/false);

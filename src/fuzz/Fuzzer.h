@@ -9,9 +9,9 @@
 ///
 /// The loop is organized in rounds so that multi-threaded runs stay
 /// deterministic: each round schedules a fixed batch of jobs whose RNG
-/// streams depend only on (campaign seed, job index), runs them on a
-/// support/ThreadPool, and merges results in job order at the round
-/// barrier. Corpus content after round K is therefore identical for any
+/// streams depend only on (campaign seed, job index), runs them through
+/// ThreadPool::parallelForChunked, and merges results in job order at the
+/// round barrier. Corpus content after round K is therefore identical for any
 /// --threads value; a wall-clock budget only decides *how many* rounds run.
 ///
 //===----------------------------------------------------------------------===//

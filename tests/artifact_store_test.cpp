@@ -175,7 +175,7 @@ TEST_F(ArtifactStoreTest, ConcurrentWritersLeaveOneCompleteFile) {
   const std::string Key = "contended-key";
   const std::string Payload(4096, 'x'); // big enough to straddle writes
   constexpr unsigned Writers = 8;
-  ThreadPool::parallelFor(4, Writers, [&](size_t) {
+  ThreadPool::parallelForChunked(4, Writers, [&](size_t) {
     EXPECT_TRUE(storeArtifact(Key, Payload));
   });
   std::string Loaded;

@@ -144,13 +144,10 @@ TEST(CompileService, OverlappingKeysComputeOnce) {
 
   ResultCacheStats Before = resultCacheStats();
   std::vector<const RunResult *> Ptrs(Distinct * Repeat, nullptr);
-  ThreadPool::parallelForChunked(
-      8, Ptrs.size(),
-      [&](size_t I) {
-        const ExperimentJob &J = Jobs[I % Distinct];
-        Ptrs[I] = &runCached(*J.W, J.Opts, J.Machine);
-      },
-      ChunkPolicy::Guided);
+  ThreadPool::parallelForChunked(8, Ptrs.size(), [&](size_t I) {
+    const ExperimentJob &J = Jobs[I % Distinct];
+    Ptrs[I] = &runCached(*J.W, J.Opts, J.Machine);
+  });
   ResultCacheStats After = resultCacheStats();
 
   // One computation per distinct key; everything else was a hit or an
@@ -176,21 +173,17 @@ TEST(CompileService, OverlappingKeysComputeOnce) {
 }
 
 // runAll returns the same pointers in the same order for any thread count
-// and either chunk policy — the byte-identical determinism contract the
-// bench sweeps and table binaries rely on.
-TEST(CompileService, RunAllIdenticalAcrossThreadsAndPolicies) {
+// — the byte-identical determinism contract the bench sweeps and table
+// binaries rely on.
+TEST(CompileService, RunAllIdenticalAcrossThreads) {
   std::vector<ExperimentJob> Jobs = tenantJobs();
 
   std::vector<const RunResult *> Seq = runAll(Jobs, 1);
-  std::vector<const RunResult *> ParGuided =
-      runAll(Jobs, 8, ChunkPolicy::Guided);
-  std::vector<const RunResult *> ParStatic =
-      runAll(Jobs, 8, ChunkPolicy::Static);
+  std::vector<const RunResult *> Par = runAll(Jobs, 8);
   ASSERT_EQ(Seq.size(), Jobs.size());
   for (size_t I = 0; I != Jobs.size(); ++I) {
     EXPECT_TRUE(Seq[I]->ok()) << Seq[I]->Error;
-    EXPECT_EQ(Seq[I], ParGuided[I]) << "job " << I;
-    EXPECT_EQ(Seq[I], ParStatic[I]) << "job " << I;
+    EXPECT_EQ(Seq[I], Par[I]) << "job " << I;
   }
 }
 
@@ -211,10 +204,9 @@ TEST(CompileService, ProfileCacheDedupesInFlight) {
   clearProfileCache();
   const size_t Repeat = 16;
   std::vector<ir::InterpResult> Out(Modules.size() * Repeat);
-  ThreadPool::parallelForChunked(
-      8, Out.size(),
-      [&](size_t I) { Out[I] = profileModule(Modules[I % Modules.size()]); },
-      ChunkPolicy::Guided);
+  ThreadPool::parallelForChunked(8, Out.size(), [&](size_t I) {
+    Out[I] = profileModule(Modules[I % Modules.size()]);
+  });
 
   ProfileCacheStats S = profileCacheStats();
   EXPECT_EQ(S.Misses, Modules.size());
@@ -284,13 +276,10 @@ TEST(CompileService, ProfileCacheSurvivesEviction) {
   constexpr size_t Distinct = 600; // > total cache capacity (16 x 32).
   constexpr uint64_t BaseBudget = 1000000000ull;
   std::vector<uint64_t> Checksums(Distinct * 2);
-  ThreadPool::parallelForChunked(
-      8, Checksums.size(),
-      [&](size_t I) {
-        uint64_t Budget = BaseBudget + I % Distinct;
-        Checksums[I] = profileModule(M, Budget).Checksum;
-      },
-      ChunkPolicy::Guided);
+  ThreadPool::parallelForChunked(8, Checksums.size(), [&](size_t I) {
+    uint64_t Budget = BaseBudget + I % Distinct;
+    Checksums[I] = profileModule(M, Budget).Checksum;
+  });
   uint64_t Expect = ir::interpret(M).Checksum;
   for (uint64_t C : Checksums)
     EXPECT_EQ(C, Expect);

@@ -1,8 +1,8 @@
 //===- tests/estimate_profile_test.cpp - Static frequency estimation ------===//
 
-#include "TestConfigs.h"
 #include "driver/Experiment.h"
 #include "driver/Workloads.h"
+#include "fuzz/Configs.h"
 #include "fuzz/Oracle.h"
 #include "ir/Interp.h"
 #include "lang/Eval.h"
@@ -161,7 +161,8 @@ TEST(EstimateProfile, ConservesFlowUnderFuzzConfigs) {
   Opts.CheckTraceTwin = false;
   for (const char *Name : {"DYFESM", "hydro2d", "mdljdp2"}) {
     lang::Program P = driver::parseWorkload(*driver::findWorkload(Name));
-    for (const driver::CompileOptions &Config : test::fuzzConfigs()) {
+    for (const driver::CompileOptions &Config :
+         fuzz::differentialCompileConfigs()) {
       fuzz::Failure F = fuzz::runCompileOracle(P, Config, Opts);
       EXPECT_EQ(F.Kind, fuzz::FailureKind::None)
           << Name << " [" << Config.tag() << "]: "

@@ -7,9 +7,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "TestConfigs.h"
-
 #include "driver/Compiler.h"
+#include "fuzz/Configs.h"
 #include "fuzz/Oracle.h"
 #include "ir/Interp.h"
 #include "lang/Eval.h"
@@ -20,7 +19,6 @@
 #include <gtest/gtest.h>
 
 using namespace bsched;
-using test::fuzzConfigs;
 
 namespace {
 
@@ -36,7 +34,8 @@ TEST_P(FuzzPipeline, EveryConfigMatchesOracle) {
                         << Ref.Error << "\n"
                         << lang::printProgram(P);
 
-  for (const driver::CompileOptions &Opts : fuzzConfigs()) {
+  for (const driver::CompileOptions &Opts :
+       fuzz::differentialCompileConfigs()) {
     // CompileOptions::VerifyPasses defaults to on: the static verifier runs
     // after scheduling and after allocation for every config and seed.
     driver::CompileResult C = driver::compileProgram(P, Opts);
@@ -81,7 +80,7 @@ TEST_P(FuzzSim, FastCoreMatchesReferenceCore) {
   driver::CompileResult C = driver::compileProgram(P, Opts);
   ASSERT_TRUE(C.ok()) << "seed " << GetParam() << ": " << C.Error;
 
-  for (test::MachinePoint &M : test::simDifferentialMachines()) {
+  for (fuzz::MachinePoint &M : fuzz::differentialMachinePoints()) {
     M.Config.Impl = sim::SimImpl::Fast;
     sim::SimResult F = sim::simulate(C.M, M.Config, /*MaxCycles=*/400000);
     M.Config.Impl = sim::SimImpl::Reference;

@@ -255,7 +255,7 @@ TEST(ParallelPipeline, ThreadCountInvariance) {
 
   auto RunAt = [&](unsigned Threads) {
     std::vector<RunResult> Out(Ws.size() * Cfgs.size());
-    ThreadPool::parallelFor(Threads, Out.size(), [&](size_t I) {
+    ThreadPool::parallelForChunked(Threads, Out.size(), [&](size_t I) {
       const Workload &W = *Ws[I % Ws.size()];
       Out[I] = runWorkload(W, Cfgs[I / Ws.size()]);
       ASSERT_TRUE(Out[I].ok()) << W.Name << ": " << Out[I].Error;
@@ -280,8 +280,8 @@ TEST(ParallelPipeline, RunCachedIsThreadSafe) {
 
   constexpr unsigned NumCalls = 16;
   std::vector<const RunResult *> Ptrs(NumCalls, nullptr);
-  ThreadPool::parallelFor(4, NumCalls,
-                          [&](size_t I) { Ptrs[I] = &runCached(W, Opts); });
+  ThreadPool::parallelForChunked(
+      4, NumCalls, [&](size_t I) { Ptrs[I] = &runCached(W, Opts); });
   for (const RunResult *P : Ptrs) {
     ASSERT_NE(P, nullptr);
     EXPECT_EQ(P, Ptrs.front());

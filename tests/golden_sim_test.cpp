@@ -17,11 +17,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "TestConfigs.h"
-
 #include "driver/Artifacts.h"
 #include "driver/Experiment.h"
 #include "driver/JobFields.h"
+#include "fuzz/Configs.h"
 #include "support/Serialize.h"
 
 #include <gtest/gtest.h>
@@ -85,12 +84,12 @@ TEST(GoldenSimStats, EveryWorkloadMatchesPinnedStats) {
   // The pinned machine list is shared with the fuzzer; the hashes in
   // golden_sim_stats.inc depend on the exact configuration values, so
   // fuzz::goldenMachinePoints() must never change silently.
-  std::vector<test::MachinePoint> Machines = test::goldenSimMachines();
+  std::vector<fuzz::MachinePoint> Machines = fuzz::goldenMachinePoints();
   for (const Workload &W : workloads()) {
     lang::Program P = parseWorkload(W);
     CompileResult C = compileProgram(P, Opts);
     ASSERT_TRUE(C.ok()) << W.Name << ": " << C.Error;
-    for (const test::MachinePoint &M : Machines) {
+    for (const fuzz::MachinePoint &M : Machines) {
       SimResult R = simulate(C.M, M.Config);
       ASSERT_TRUE(R.ok()) << W.Name << " [" << M.Tag << "]: " << R.Error;
       ASSERT_TRUE(R.Finished) << W.Name << " [" << M.Tag << "]";

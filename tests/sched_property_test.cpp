@@ -8,8 +8,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "TestConfigs.h"
 #include "driver/Compiler.h"
+#include "fuzz/Configs.h"
 #include "lang/Generate.h"
 #include "lang/Parser.h"
 #include "sched/DepDAG.h"
@@ -194,7 +194,7 @@ TEST(ExactOptimalityGap, ClosedBlocksAreLegalAndNeverNegative) {
   unsigned Attempted = 0, Closed = 0;
   for (uint64_t Seed : {uint64_t(3), uint64_t(42), uint64_t(101)}) {
     lang::Program P = lang::generateProgram(Seed);
-    for (driver::CompileOptions Cfg : test::fuzzConfigs()) {
+    for (driver::CompileOptions Cfg : fuzz::differentialCompileConfigs()) {
       Cfg.StopBeforeRegAlloc = true; // judge the scheduler's own output
       driver::CompileResult C = driver::compileProgram(P, Cfg);
       ASSERT_TRUE(C.ok()) << Cfg.tag() << ": " << C.Error;

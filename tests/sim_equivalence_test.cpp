@@ -22,9 +22,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "TestConfigs.h"
-
 #include "driver/Experiment.h"
+#include "fuzz/Configs.h"
 #include "fuzz/Oracle.h"
 
 #include <gtest/gtest.h>

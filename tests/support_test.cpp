@@ -7,9 +7,11 @@
 #include "support/ThreadPool.h"
 #include "support/ZeroBuffer.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <latch>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -203,47 +205,29 @@ TEST(BitVec, Equality) {
 // ThreadPool chunked dispatch
 //===----------------------------------------------------------------------===//
 
-// Every index is executed exactly once, for both chunk policies, across
-// worker counts that undershoot, match, and oversubscribe the index range.
+// Every index is executed exactly once, across worker counts that
+// undershoot, match, and oversubscribe the index range.
 TEST(ThreadPoolChunked, EveryIndexExactlyOnce) {
-  for (ChunkPolicy Policy : {ChunkPolicy::Static, ChunkPolicy::Guided}) {
-    for (unsigned Threads : {1u, 2u, 3u, 8u}) {
-      for (size_t Count : {size_t(0), size_t(1), size_t(5), size_t(257)}) {
-        std::vector<std::atomic<unsigned>> Seen(Count);
-        ThreadPool::parallelForChunked(
-            Threads, Count, [&](size_t I) { ++Seen[I]; }, Policy);
-        for (size_t I = 0; I != Count; ++I)
-          EXPECT_EQ(Seen[I].load(), 1u)
-              << "policy " << int(Policy) << " threads " << Threads
-              << " count " << Count << " index " << I;
-      }
+  for (unsigned Threads : {1u, 2u, 3u, 8u}) {
+    for (size_t Count : {size_t(0), size_t(1), size_t(5), size_t(257)}) {
+      std::vector<std::atomic<unsigned>> Seen(Count);
+      ThreadPool::parallelForChunked(Threads, Count,
+                                     [&](size_t I) { ++Seen[I]; });
+      for (size_t I = 0; I != Count; ++I)
+        EXPECT_EQ(Seen[I].load(), 1u)
+            << "threads " << Threads << " count " << Count << " index " << I;
     }
   }
 }
 
-// Static chunking hands each worker one contiguous slice: with results
-// written by index the output is identical to the sequential loop, and the
-// slice sizes differ by at most one.
-TEST(ThreadPoolChunked, StaticSlicesAreBalanced) {
-  constexpr size_t Count = 103;
-  constexpr unsigned Threads = 4;
-  std::vector<int> Out(Count, -1);
-  ThreadPool::parallelForChunked(
-      Threads, Count, [&](size_t I) { Out[I] = static_cast<int>(2 * I); },
-      ChunkPolicy::Static);
-  for (size_t I = 0; I != Count; ++I)
-    EXPECT_EQ(Out[I], static_cast<int>(2 * I));
-}
-
-// Guided chunking: results written by index are independent of the worker
-// count (the determinism contract runAll builds on).
+// Results written by index are independent of the worker count (the
+// determinism contract runAll builds on).
 TEST(ThreadPoolChunked, GuidedResultsIndependentOfThreadCount) {
   constexpr size_t Count = 1000;
   auto Run = [&](unsigned Threads) {
     std::vector<uint64_t> Out(Count);
-    ThreadPool::parallelForChunked(
-        Threads, Count, [&](size_t I) { Out[I] = I * I + 7; },
-        ChunkPolicy::Guided);
+    ThreadPool::parallelForChunked(Threads, Count,
+                                   [&](size_t I) { Out[I] = I * I + 7; });
     return Out;
   };
   std::vector<uint64_t> One = Run(1);
@@ -251,7 +235,7 @@ TEST(ThreadPoolChunked, GuidedResultsIndependentOfThreadCount) {
   EXPECT_EQ(One, Eight);
 }
 
-// A pool never starts more workers than there are indices. The ceiling is
+// A loop never starts more workers than there are indices. The ceiling is
 // checked on workersFor, which starts no thread; only the small case runs.
 TEST(ThreadPoolChunked, NoMoreWorkersThanIndices) {
   EXPECT_EQ(ThreadPool::workersFor(8, 3), 3u);
@@ -261,28 +245,29 @@ TEST(ThreadPoolChunked, NoMoreWorkersThanIndices) {
 
   std::mutex M;
   std::set<std::thread::id> Ids;
-  auto Note = [&](size_t) {
+  ThreadPool::parallelForChunked(8, 3, [&](size_t) {
     std::lock_guard<std::mutex> Lock(M);
     Ids.insert(std::this_thread::get_id());
-  };
-  ThreadPool::parallelForChunked(8, 3, Note);
-  EXPECT_LE(Ids.size(), 3u);
-  Ids.clear();
-  ThreadPool::parallelFor(8, 3, Note);
+  });
   EXPECT_LE(Ids.size(), 3u);
 }
 
-// The calling thread is worker 0 of a chunked loop: it runs the first
-// static slice itself, and a one-worker loop runs inline.
+// The calling thread is worker 0 of the loop. Four indices on four workers,
+// each of which records its thread and then waits until all four have
+// arrived: a worker parked at the latch cannot claim a second index, so
+// every worker holds exactly one, and the caller's id appears exactly once
+// (a pool whose caller only waits would show it zero times). A one-worker
+// loop runs inline.
 TEST(ThreadPoolChunked, CallingThreadIsWorkerZero) {
   const std::thread::id Caller = std::this_thread::get_id();
-  std::vector<std::thread::id> Ran(8);
-  ThreadPool::parallelForChunked(
-      4, Ran.size(), [&](size_t I) { Ran[I] = std::this_thread::get_id(); },
-      ChunkPolicy::Static);
-  EXPECT_EQ(Ran[0], Caller);
-  EXPECT_EQ(Ran[1], Caller);
-  EXPECT_NE(Ran[2], Caller);
+  std::vector<std::thread::id> Ran(4);
+  std::latch AllArrived(4);
+  ThreadPool::parallelForChunked(4, Ran.size(), [&](size_t I) {
+    Ran[I] = std::this_thread::get_id();
+    AllArrived.arrive_and_wait();
+  });
+  EXPECT_EQ(std::count(Ran.begin(), Ran.end(), Caller), 1);
+  EXPECT_EQ(std::set<std::thread::id>(Ran.begin(), Ran.end()).size(), 4u);
 
   Ran.assign(5, std::thread::id());
   ThreadPool::parallelForChunked(

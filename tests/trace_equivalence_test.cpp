@@ -3,7 +3,7 @@
 // Pins TraceImpl::Fast against TraceImpl::Reference:
 //
 //  * Config sweep: every trace-scheduling configuration of the canonical
-//    differential list (TestConfigs.h), over every workload, must produce
+//    differential list (fuzz/Configs.h), over every workload, must produce
 //    byte-identical compiled code and identical TraceStats under both cores.
 //  * Compensation stress: hand-written CFGs that maximize the bookkeeping the
 //    fast core performs incrementally — side entrances into the middle of a
@@ -15,9 +15,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "TestConfigs.h"
 #include "driver/Compiler.h"
 #include "driver/Workloads.h"
+#include "fuzz/Configs.h"
 #include "ir/IRParser.h"
 #include "ir/Interp.h"
 #include "lang/Parser.h"
@@ -94,7 +94,8 @@ Module parseIR(const char *Text) {
 /// workload to the same bytes under both trace cores. Both compiles use the
 /// fast scheduler core, so only the trace implementation differs.
 TEST(TraceEquivalence, DifferentialConfigSweep) {
-  for (const driver::CompileOptions &Opts : test::fuzzConfigs()) {
+  for (const driver::CompileOptions &Opts :
+       fuzz::differentialCompileConfigs()) {
     if (!Opts.TraceScheduling)
       continue;
     for (const driver::Workload &W : driver::workloads()) {

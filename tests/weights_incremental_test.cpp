@@ -18,9 +18,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "TestConfigs.h"
 #include "driver/Compiler.h"
 #include "driver/Workloads.h"
+#include "fuzz/Configs.h"
 #include "ir/IRParser.h"
 #include "sched/DepDAG.h"
 #include "sched/Schedule.h"
@@ -221,7 +221,8 @@ b0:
 TEST(WeightsIncremental, WorkloadTraceSweep) {
   int RegionsChecked = 0;
   BalancedWeightsBuilder WB;
-  for (const driver::CompileOptions &Base : test::fuzzConfigs()) {
+  for (const driver::CompileOptions &Base :
+       fuzz::differentialCompileConfigs()) {
     if (!Base.TraceScheduling)
       continue;
     driver::CompileOptions Opts = Base;
