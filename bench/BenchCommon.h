@@ -4,8 +4,8 @@
 /// Helpers shared by the table sources and the tracker benches:
 /// configuration constructors (the latency probes' among them), the
 /// per-benchmark run loop with failure reporting, printf-free table
-/// emission, wall-clock timing, and the BENCH_*.json helpers. The strict
-/// numeric flag parsers are support/Str.h's.
+/// emission, wall-clock timing, the trackers' thread sweep, and the
+/// BENCH_*.json helpers. The strict numeric flag parsers are support/Str.h's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +15,7 @@
 #include "driver/Experiment.h"
 #include "support/Str.h"
 #include "support/Table.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <chrono>
@@ -116,6 +117,19 @@ template <typename FnT> uint64_t bestOf(int Reps, FnT Fn) {
     Best = std::min(Best, nowNs() - T0);
   }
   return Best;
+}
+
+/// The worker counts of a tracker's thread-scaling sweep over \p Jobs jobs:
+/// 1, 2, 4, ... up to ThreadPool::workersFor(0, Jobs) (one per hardware
+/// thread, at most one per job), that bound included when it is not a power
+/// of two. The last entry is the count benchJsonHead records.
+inline std::vector<unsigned> threadSweep(size_t Jobs) {
+  const unsigned Max = ThreadPool::workersFor(0, Jobs);
+  std::vector<unsigned> Ts;
+  for (unsigned T = 1; T < Max; T *= 2)
+    Ts.push_back(T);
+  Ts.push_back(Max);
+  return Ts;
 }
 
 // The BENCH_*.json helpers of the trackers and bsched-suite (defined in

@@ -1,9 +1,7 @@
 //===- bench/bench_compile_throughput.cpp - Compile-throughput tracker ------===//
 //
 // Times the compile pipeline for every workload at unroll {1,4,8} with and
-// without trace scheduling, against both the optimized passes and the
-// preserved reference implementation (sched::SchedImpl::Reference), in IR
-// instructions compiled per second:
+// without trace scheduling, in IR instructions compiled per second:
 //
 //  - warm: driver::compileProgram on a parsed program with the profile
 //    cache filled, best of N (the headline, which the CI floors gate);
@@ -17,62 +15,43 @@
 //    record gives the pass verifier's share of a verified compile
 //    (verify_share: the verify phase over the compile's wall time).
 //
+// A thread-scaling sweep then compiles every (workload, config) job on 1, 2,
+// 4, ... workers up to one per hardware thread (bench::threadSweep) and
+// checks, by per-job module digests, that every thread count compiled
+// byte-identical code.
+//
 // Emits BENCH_compile.json so the trajectory is tracked across PRs, and
 // optionally gates against a checked-in baseline (exit 1 on a >25% drop).
 //
-// Also measures the batched compile service under sustained multi-tenant
-// load: a deterministic request mix of cache-hit traffic (served from the
-// sharded runCached result cache), cache-miss traffic (full cold compiles),
-// and profile-cold traffic (trace-scheduled compiles whose profiling run
-// misses the sharded profile cache), replayed at 1/2/4/8 pool workers with
-// guided chunk dispatch. Reports compiles/s, thread-scaling efficiency, and
-// the shard-cache hit/miss/in-flight-wait counters, and cross-checks that
-// every request's result is byte-identical across thread counts.
-//
 // Usage:
 //   bench_compile_throughput [--quick] [--json PATH] [--baseline PATH]
-//                            [--max-threads N] [--min-scale F]
 //
-//   --quick       1 repetition per measurement, reference timings only
-//                 for the unroll-8 configurations, and a smaller sustained
-//                 request mix (the CI mode).
+//   --quick       1 repetition per measurement (the CI mode).
 //   --json PATH   where to write BENCH_compile.json (default: cwd).
 //   --baseline    baseline JSON with "min_instrs_per_sec" per config tag
 //                 and "max_verify_share"; exit 1 if any warm throughput
 //                 falls below 75% of its entry or the verifier's share of
 //                 the verified cold compiles exceeds the maximum.
-//   --max-threads cap for the thread-scaling sweeps (default 8).
-//   --min-scale F thread-scaling regression gate: exit 1 unless sustained
-//                 throughput at --max-threads workers is at least F x the
-//                 1-worker throughput (or if only one thread count ran).
-//                 F is the committed floor for an 8-hardware-thread
-//                 machine and is derated automatically when fewer hardware
-//                 threads are available (a 1-core runner cannot scale,
-//                 only avoid regressing).
-//   Both numbers must be positive; any other value exits 2.
+//   Any other argument exits 2.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "driver/Artifacts.h"
 #include "driver/Compiler.h"
-#include "driver/Experiment.h"
 #include "driver/ProfileCache.h"
 #include "driver/Workloads.h"
 #include "support/PhaseRecord.h"
-#include "support/RNG.h"
 #include "support/Serialize.h"
 #include "support/Str.h"
 #include "support/ThreadPool.h"
 
-#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace bsched;
@@ -84,16 +63,15 @@ namespace {
 struct BenchConfig {
   int Unroll;
   bool Traces;
-  std::string Tag; ///< CompileOptions::tag() of the fast variant.
+  std::string Tag; ///< CompileOptions::tag() of the configuration.
 };
 
-CompileOptions optionsFor(const BenchConfig &C, sched::SchedImpl Impl) {
+CompileOptions optionsFor(const BenchConfig &C) {
   CompileOptions O;
   O.Scheduler = sched::SchedulerKind::Balanced;
   O.UnrollFactor = C.Unroll;
   O.TraceScheduling = C.Traces;
   O.VerifyPasses = false; // the pipeline alone; verified() adds the verifier.
-  O.Balance.Impl = Impl;
   return O;
 }
 
@@ -119,8 +97,8 @@ uint64_t moduleDigest(const ir::Module &M) {
   return fnv1a(W.buffer());
 }
 
-/// Combines per-request digests in request order: equal result vectors give
-/// equal combined digests regardless of which worker produced each entry.
+/// Combines per-job digests in job order: equal result vectors give equal
+/// combined digests regardless of which worker produced each entry.
 uint64_t combineDigests(const std::vector<uint64_t> &Ds) {
   Fnv1a H;
   for (uint64_t D : Ds)
@@ -130,17 +108,9 @@ uint64_t combineDigests(const std::vector<uint64_t> &Ds) {
 
 double ratio(double Num, double Den) { return Den == 0.0 ? 0.0 : Num / Den; }
 
-/// \p R with \p Digits decimals and \p Unit, or \p Absent when it is 0: a
-/// ratio of 0 means the reference was not timed in this mode, and a fake
-/// 0.000 would read as a 1000x regression.
-std::string ratioOr(double R, int Digits, const char *Absent,
-                    const char *Unit = "") {
-  return R == 0.0 ? Absent : fmtDouble(R, Digits) + Unit;
-}
-
 /// One recorded compile from text, profile cache emptied first.
 struct ColdCompile {
-  uint64_t WallNs = 0; ///< 0 when not measured.
+  uint64_t WallNs = 0;
   std::array<uint64_t, NumPhases> PhaseNs{};
   unsigned Instrs = 0;
   trace::TraceStats Trace;
@@ -182,9 +152,9 @@ std::string phasesJson(const ColdCompile &C) {
 
 struct WorkloadRow {
   std::string Name;
-  uint64_t FastNs = 0, RefNs = 0; ///< warm; RefNs 0 when not measured.
-  ColdCompile Cold[2];            ///< [0] fast, [1] reference (if RefNs).
-  ColdCompile Verified;           ///< Cold[0] with VerifyPasses on.
+  uint64_t WarmNs = 0;
+  ColdCompile Cold;
+  ColdCompile Verified; ///< Cold with VerifyPasses on.
 };
 
 struct ConfigRow {
@@ -199,19 +169,15 @@ struct ConfigRow {
     return S;
   }
   double instrsPerSec(bool Cold = false) const {
-    return ratio(total([](auto &R) { return R.Cold[0].Instrs; }) * 1e9,
+    return ratio(total([](auto &R) { return R.Cold.Instrs; }) * 1e9,
                  total([&](auto &R) {
-                   return Cold ? R.Cold[0].WallNs : R.FastNs;
+                   return Cold ? R.Cold.WallNs : R.WarmNs;
                  }));
   }
-  double speedup() const {
-    return ratio(total([](auto &R) { return R.RefNs; }),
-                 total([](auto &R) { return R.FastNs; }));
-  }
-  /// Summed time of \p P in the fast (or reference) cold compiles.
-  double phaseNs(Phase P, bool Ref) const {
+  /// Summed time of \p P in the cold compiles.
+  double phaseNs(Phase P) const {
     return total([&](auto &R) {
-      return R.Cold[Ref].PhaseNs[static_cast<unsigned>(P)];
+      return R.Cold.PhaseNs[static_cast<unsigned>(P)];
     });
   }
   /// The verify phase's share of the verified cold compiles' wall time.
@@ -220,11 +186,11 @@ struct ConfigRow {
                  total([](auto &R) { return R.Verified.WallNs; }));
   }
   /// The share of the cold compiles' wall time that their phases cover.
-  double coverage(bool Ref) const {
+  double coverage() const {
     double Phases = 0;
     for (unsigned I = 0; I != NumPhases; ++I)
-      Phases += phaseNs(static_cast<Phase>(I), Ref);
-    return ratio(Phases, total([&](auto &R) { return R.Cold[Ref].WallNs; }));
+      Phases += phaseNs(static_cast<Phase>(I));
+    return ratio(Phases, total([](auto &R) { return R.Cold.WallNs; }));
   }
 };
 
@@ -233,174 +199,12 @@ struct ScalePoint {
   uint64_t WallNs;
 };
 
-//===----------------------------------------------------------------------===//
-// Sustained compile-service throughput
-//===----------------------------------------------------------------------===//
-
-/// One request of the synthetic multi-tenant mix.
-struct Request {
-  enum Class { Hit, Miss, ProfileCold } Kind;
-  size_t WIdx;                  ///< index into workloads().
-  driver::CompileOptions Opts;
-};
-
-struct SustainedPoint {
-  unsigned Threads = 0;
-  uint64_t WallNs = 0;
-  double CompilesPerSec = 0.0;
-  double ScaleVs1T = 0.0;
-};
-
-struct SustainedResult {
-  size_t Requests = 0, HitReqs = 0, MissReqs = 0, ColdReqs = 0;
-  std::vector<SustainedPoint> Points;
-  bool Deterministic = true;     ///< per-request digests equal at every T.
-  bool RunAllIdentical = true;   ///< runAll(1) and runAll(max) return the
-                                 ///< same (pointer-identical) results.
-  uint64_t Digest = 0;           ///< combined digest of the 1-thread replay.
-  driver::ResultCacheStats ResultCache;   ///< counters after the replays.
-  driver::ProfileCacheStats ProfileCache; ///< counters of the last replay.
-};
-
-/// Replays a deterministic request mix against the compile service at each
-/// thread count and cross-checks that every request's observable result is
-/// identical whatever the worker count. Traffic classes:
-///
-///  - Hit: repeated (workload, config) keys served from the sharded
-///    runCached result cache (pre-warmed through runAll before timing, so
-///    the timed path is pure lookup — the steady-state shape of repeat
-///    tenant traffic).
-///  - Miss: full cold compiles (per-request pressure-threshold tenants;
-///    nothing at the service layer can memoize them).
-///  - ProfileCold: trace-scheduled compiles whose profiling interpretation
-///    goes through the sharded, in-flight-deduplicated profile cache; the
-///    cache is cleared before every replay so each thread count sees the
-///    identical cold/warm pattern.
-SustainedResult runSustained(bool Quick, unsigned MaxThreads) {
-  const auto &Ws = driver::workloads();
-  std::vector<lang::Program> Programs;
-  Programs.reserve(Ws.size());
-  for (const Workload &W : Ws)
-    Programs.push_back(parseWorkload(W));
-
-  // The request mix: 60% hit / 25% miss / 15% profile-cold, drawn from a
-  // fixed-seed stream so every run (and every thread count) replays the
-  // same trace.
-  const size_t NumRequests = Quick ? 800 : 4000;
-  const int Unrolls[4] = {1, 2, 4, 8};
-  std::vector<Request> Reqs;
-  Reqs.reserve(NumRequests);
-  SustainedResult Out;
-  RNG Rng(0xc041711eull);
-  for (size_t I = 0; I != NumRequests; ++I) {
-    Request Q;
-    Q.WIdx = Rng.nextBelow(Ws.size());
-    double Roll = Rng.nextDouble();
-    if (Roll < 0.60) {
-      Q.Kind = Request::Hit;
-      Q.Opts = bench::balanced(Rng.nextBool(0.5) ? 4 : 1);
-      ++Out.HitReqs;
-    } else if (Roll < 0.85) {
-      Q.Kind = Request::Miss;
-      Q.Opts = bench::balanced(1);
-      // Distinct per-tenant scheduling parameter: every miss request is a
-      // genuinely different compile, so no layer can serve it from cache.
-      Q.Opts.Balance.PressureThreshold =
-          20 + static_cast<int>(Rng.nextBelow(29));
-      ++Out.MissReqs;
-    } else {
-      Q.Kind = Request::ProfileCold;
-      Q.Opts = bench::balanced(Unrolls[Rng.nextBelow(4)], /*TrS=*/true);
-      ++Out.ColdReqs;
-    }
-    Reqs.push_back(std::move(Q));
-  }
-  Out.Requests = NumRequests;
-
-  // Pre-warm the hit working set (and keep the job list: the same grid
-  // re-runs through runAll at MaxThreads for the pointer-identity check).
-  std::vector<driver::ExperimentJob> HitJobs;
-  for (const Workload &W : Ws)
-    for (int U : {1, 4})
-      HitJobs.push_back({&W, bench::balanced(U), {}});
-  std::vector<const driver::RunResult *> Warm = driver::runAll(HitJobs, 1);
-  for (const driver::RunResult *R : Warm)
-    if (!R->ok()) {
-      std::fprintf(stderr, "FATAL: sustained pre-warm: %s\n",
-                   R->Error.c_str());
-      std::exit(1);
-    }
-
-  auto Exec = [&](const Request &Q) -> uint64_t {
-    if (Q.Kind == Request::Hit) {
-      const driver::RunResult &R = driver::runCached(Ws[Q.WIdx], Q.Opts);
-      Fnv1a H;
-      H.word(R.Sim.Cycles);
-      H.word(R.Sim.Checksum);
-      return H.get();
-    }
-    driver::CompileResult CR = driver::compileProgram(Programs[Q.WIdx], Q.Opts);
-    if (!CR.ok()) {
-      std::fprintf(stderr, "FATAL: sustained %s: %s\n", Ws[Q.WIdx].Name,
-                   CR.Error.c_str());
-      std::exit(1);
-    }
-    return moduleDigest(CR.M);
-  };
-
-  std::vector<uint64_t> Digests(NumRequests);
-  uint64_t BaseDigest = 0;
-  for (unsigned T = 1; T <= MaxThreads; T *= 2) {
-    // Identical cold/warm profile pattern for every replay.
-    driver::clearProfileCache();
-    uint64_t T0 = nowNs();
-    ThreadPool::parallelForChunked(
-        T, NumRequests, [&](size_t I) { Digests[I] = Exec(Reqs[I]); });
-    uint64_t Wall = nowNs() - T0;
-    uint64_t D = combineDigests(Digests);
-    if (T == 1) {
-      BaseDigest = D;
-      Out.Digest = D;
-    } else if (D != BaseDigest) {
-      Out.Deterministic = false;
-    }
-    SustainedPoint P;
-    P.Threads = T;
-    P.WallNs = Wall;
-    P.CompilesPerSec = static_cast<double>(NumRequests) * 1e9 /
-                       static_cast<double>(Wall);
-    P.ScaleVs1T = Out.Points.empty()
-                      ? 1.0
-                      : static_cast<double>(Out.Points.front().WallNs) /
-                            static_cast<double>(Wall);
-    Out.Points.push_back(P);
-    std::printf("  sustained threads=%u  wall %7.1f ms  %8.0f compiles/s"
-                "  scale %.2fx\n",
-                T, static_cast<double>(Wall) / 1e6, P.CompilesPerSec,
-                P.ScaleVs1T);
-  }
-
-  // runAll determinism: the MaxThreads pass must hand back the very same
-  // memoized results (stable pointers) the 1-thread pre-warm produced.
-  std::vector<const driver::RunResult *> Again =
-      driver::runAll(HitJobs, MaxThreads);
-  for (size_t I = 0; I != Warm.size(); ++I)
-    if (Warm[I] != Again[I])
-      Out.RunAllIdentical = false;
-
-  Out.ResultCache = driver::resultCacheStats();
-  Out.ProfileCache = driver::profileCacheStats();
-  return Out;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
   bool Quick = false;
   std::string JsonPath = "BENCH_compile.json";
   std::string BaselinePath;
-  unsigned MaxThreads = 8;
-  double MinScale = 0.0; // 0 = gate off.
   for (int I = 1; I != argc; ++I) {
     if (!std::strcmp(argv[I], "--quick"))
       Quick = true;
@@ -408,12 +212,6 @@ int main(int argc, char **argv) {
       JsonPath = argv[++I];
     else if (!std::strcmp(argv[I], "--baseline") && I + 1 != argc)
       BaselinePath = argv[++I];
-    else if (!std::strcmp(argv[I], "--max-threads") && I + 1 != argc &&
-             parsePositive(argv[I + 1], MaxThreads))
-      ++I;
-    else if (!std::strcmp(argv[I], "--min-scale") && I + 1 != argc &&
-             parsePositive(argv[I + 1], MinScale))
-      ++I;
     else {
       std::fprintf(stderr, "unknown argument or bad value: %s\n", argv[I]);
       return 2;
@@ -430,86 +228,63 @@ int main(int argc, char **argv) {
   std::printf("compile-throughput benchmark (%s mode, best of %d)\n",
               Quick ? "quick" : "full", Reps);
 
-  // Untimed warmup sweep over every (config, workload, impl) cell that the
-  // loop below measures. One-time lazy costs — allocator arena growth, page
+  // Untimed warmup sweep over every (config, workload) cell that the loop
+  // below measures. One-time lazy costs — allocator arena growth, page
   // faults on first touch of the big scheduler tables — otherwise land in
   // whichever cell happens to run first; quick mode is best-of-1, so a
   // single cold compile there skews its row by an order of magnitude.
-  for (const BenchConfig &C : Configs) {
-    bool TimeRef = !Quick || C.Unroll == 8;
+  for (const BenchConfig &C : Configs)
     for (const Workload &W : workloads()) {
       lang::Program P = parseWorkload(W);
-      (void)compileProgram(P, optionsFor(C, sched::SchedImpl::Fast));
-      (void)compileProgram(P, verified(optionsFor(C, sched::SchedImpl::Fast)));
-      if (TimeRef)
-        (void)compileProgram(P, optionsFor(C, sched::SchedImpl::Reference));
+      (void)compileProgram(P, optionsFor(C));
+      (void)compileProgram(P, verified(optionsFor(C)));
     }
-  }
 
   std::vector<ConfigRow> Results;
   for (const BenchConfig &C : Configs) {
     ConfigRow Row{C, {}};
-    // Reference timings are the expensive part; in quick mode measure them
-    // only where the headline speedup is reported (unroll 8).
-    bool TimeRef = !Quick || C.Unroll == 8;
+    const CompileOptions Opts = optionsFor(C);
     for (const Workload &W : workloads()) {
       lang::Program P = parseWorkload(W);
       WorkloadRow R;
       R.Name = W.Name;
       // The cold compile leaves the profile cache filled for the warm ones.
-      CompileOptions Fast = optionsFor(C, sched::SchedImpl::Fast);
-      R.Cold[0] = coldCompile(W, Fast);
-      R.Verified = coldCompile(W, verified(Fast));
-      R.FastNs = bestOf(Reps, [&] { (void)compileProgram(P, Fast); });
-      if (TimeRef) {
-        CompileOptions Ref = optionsFor(C, sched::SchedImpl::Reference);
-        R.RefNs = bestOf(std::max(1, Reps - 1),
-                         [&] { (void)compileProgram(P, Ref); });
-        R.Cold[1] = coldCompile(W, Ref);
-      }
+      R.Cold = coldCompile(W, Opts);
+      R.Verified = coldCompile(W, verified(Opts));
+      R.WarmNs = bestOf(Reps, [&] { (void)compileProgram(P, Opts); });
       Row.Rows.push_back(std::move(R));
     }
     std::string Phases;
     for (unsigned I = 0; I != NumPhases; ++I)
-      if (double Ns = Row.phaseNs(static_cast<Phase>(I), false))
+      if (double Ns = Row.phaseNs(static_cast<Phase>(I)))
         Phases += std::string("  ") + phaseName(static_cast<Phase>(I)) + " " +
                   fmtDouble(Ns / 1e6, 2);
-    std::printf("  %-12s  %8.0f kinstr/s warm  %8.0f cold from text  "
-                "end-to-end speedup %s\n"
+    std::printf("  %-12s  %8.0f kinstr/s warm  %8.0f cold from text\n"
                 "                cold phases (ms):%s\n"
-                "                phases cover %.1f%% of cold wall time "
-                "(reference %s)\n"
+                "                phases cover %.1f%% of cold wall time\n"
                 "                verifier on: verify %.1f%% of cold wall "
                 "time\n",
                 C.Tag.c_str(), Row.instrsPerSec() / 1e3,
-                Row.instrsPerSec(/*Cold=*/true) / 1e3,
-                ratioOr(Row.speedup(), 2, "n/a", "x").c_str(), Phases.c_str(),
-                100.0 * Row.coverage(false),
-                ratioOr(100.0 * Row.coverage(true), 1, "n/a", "%").c_str(),
-                100.0 * Row.verifyShare());
+                Row.instrsPerSec(/*Cold=*/true) / 1e3, Phases.c_str(),
+                100.0 * Row.coverage(), 100.0 * Row.verifyShare());
     if (C.Traces) {
       auto Ms = [&](uint64_t trace::TraceStats::*Field) {
-        return Row.total([&](auto &R) { return R.Cold[0].Trace.*Field; }) / 1e6;
+        return Row.total([&](auto &R) { return R.Cold.Trace.*Field; }) / 1e6;
       };
       std::printf("                trace form %.2f ms  compact %.2f ms  "
-                  "compensation %.2f ms  (trace core %s)\n",
+                  "compensation %.2f ms\n",
                   Ms(&trace::TraceStats::FormNs),
                   Ms(&trace::TraceStats::CompactNs),
-                  Ms(&trace::TraceStats::CompensationNs),
-                  ratioOr(ratio(Row.phaseNs(Phase::TraceSched, true),
-                                Row.phaseNs(Phase::TraceSched, false)),
-                          2, "n/a", "x")
-                      .c_str());
+                  Ms(&trace::TraceStats::CompensationNs));
     }
     Results.push_back(std::move(Row));
   }
 
   // --- Thread-scaling sweep -------------------------------------------------
-  // Wall time to compile every (workload, config) job, fast implementation,
-  // on a pool of T workers draining guided chunks (one pool task per
-  // worker, not per compile). Each job's compiled module is digested by
-  // index, so "the results are identical for any thread count" is asserted
-  // on the full instruction streams, not assumed.
+  // Wall time to compile every (workload, config) job on a pool of T workers
+  // draining guided chunks. Each job's compiled module is digested by index,
+  // so "the results are identical for any thread count" is asserted on the
+  // full instruction streams, not assumed.
   std::vector<ScalePoint> Scaling;
   bool ScalingDeterministic = true;
   {
@@ -520,15 +295,14 @@ int main(int argc, char **argv) {
     std::vector<Job> Jobs;
     for (const BenchConfig &C : Configs)
       for (const Workload &W : workloads())
-        Jobs.push_back({parseWorkload(W), optionsFor(C, sched::SchedImpl::Fast)});
+        Jobs.push_back({parseWorkload(W), optionsFor(C)});
     // The cold compiles above emptied the profile cache; refill it untimed
-    // so every point of this sweep sees the same, warm work. Cold-profile
-    // traffic is measured separately by the sustained mode.
+    // so every point of this sweep sees the same, warm work.
     for (const Job &J : Jobs)
       (void)compileProgram(J.P, J.Opts);
     std::vector<uint64_t> Digests(Jobs.size());
     uint64_t BaseDigest = 0;
-    for (unsigned T = 1; T <= MaxThreads; T *= 2) {
+    for (unsigned T : threadSweep(Jobs.size())) {
       uint64_t T0 = nowNs();
       ThreadPool::parallelForChunked(T, Jobs.size(), [&](size_t I) {
         CompileResult CR = compileProgram(Jobs[I].P, Jobs[I].Opts);
@@ -547,26 +321,6 @@ int main(int argc, char **argv) {
     }
   }
 
-  // --- Sustained compile-service throughput ---------------------------------
-  std::printf("sustained compile service (%s mix)\n",
-              Quick ? "quick" : "full");
-  SustainedResult Sustained = runSustained(Quick, MaxThreads);
-  std::printf("  requests %zu (hit %zu, miss %zu, profile-cold %zu)  "
-              "deterministic %s  runAll identical %s\n",
-              Sustained.Requests, Sustained.HitReqs, Sustained.MissReqs,
-              Sustained.ColdReqs, Sustained.Deterministic ? "yes" : "NO",
-              Sustained.RunAllIdentical ? "yes" : "NO");
-  std::printf("  result cache: %llu hits, %llu misses, %llu in-flight waits\n",
-              static_cast<unsigned long long>(Sustained.ResultCache.Hits),
-              static_cast<unsigned long long>(Sustained.ResultCache.Misses),
-              static_cast<unsigned long long>(
-                  Sustained.ResultCache.InFlightWaits));
-  std::printf("  profile cache: %llu hits, %llu misses, %llu in-flight waits\n",
-              static_cast<unsigned long long>(Sustained.ProfileCache.Hits),
-              static_cast<unsigned long long>(Sustained.ProfileCache.Misses),
-              static_cast<unsigned long long>(
-                  Sustained.ProfileCache.InFlightWaits));
-
   // --- Summary --------------------------------------------------------------
   double VerifyNs = 0, VerifiedNs = 0;
   for (const ConfigRow &R : Results) {
@@ -577,31 +331,20 @@ int main(int argc, char **argv) {
   std::printf("summary: the verifier takes %.1f%% of verified cold compile "
               "time\n",
               100.0 * VerifyShare);
-  // The scheduler-phase speedup compares the reference and fast records'
-  // scheduling phases (trace.schedule and sched.schedule) at the headline.
   const ConfigRow *Headline = nullptr;
   for (const ConfigRow &R : Results)
     if (R.Config.Tag == "BS+LU8+TrS")
       Headline = &R;
-  double SchedSpeedup = 0.0;
-  if (Headline) {
-    auto SchedNs = [&](bool Ref) {
-      return Headline->phaseNs(Phase::TraceSched, Ref) +
-             Headline->phaseNs(Phase::Sched, Ref);
-    };
-    SchedSpeedup = ratio(SchedNs(true), SchedNs(false));
+  if (Headline)
     std::printf("summary: BS+LU8+TrS %.0f kinstr/s warm, %.0f cold from "
-                "text, end-to-end %s, scheduler phases %s\n",
+                "text\n",
                 Headline->instrsPerSec() / 1e3,
-                Headline->instrsPerSec(/*Cold=*/true) / 1e3,
-                ratioOr(Headline->speedup(), 2, "n/a", "x").c_str(),
-                ratioOr(SchedSpeedup, 2, "n/a", "x").c_str());
-  }
+                Headline->instrsPerSec(/*Cold=*/true) / 1e3);
 
   // --- JSON -----------------------------------------------------------------
   {
     std::ostringstream J;
-    J << benchJsonHead("bsched-compile-throughput-v5", MaxThreads);
+    J << benchJsonHead("bsched-compile-throughput-v6", Scaling.back().Threads);
     J << "  \"quick\": " << (Quick ? "true" : "false") << ",\n";
     J << "  \"configs\": [\n";
     for (size_t CI = 0; CI != Results.size(); ++CI) {
@@ -610,32 +353,26 @@ int main(int argc, char **argv) {
         << "\"unroll\": " << R.Config.Unroll << ", "
         << "\"traces\": " << (R.Config.Traces ? "true" : "false") << ",\n"
         << "     \"total_instrs\": "
-        << fmtDouble(R.total([](auto &W) { return W.Cold[0].Instrs; }), 0)
+        << fmtDouble(R.total([](auto &W) { return W.Cold.Instrs; }), 0)
         << ", \"total_compile_ns\": "
-        << fmtDouble(R.total([](auto &W) { return W.FastNs; }), 0) << ", "
-        << "\"instrs_per_sec\": " << fmtDouble(R.instrsPerSec(), 1) << ", "
-        << "\"end_to_end_speedup\": " << ratioOr(R.speedup(), 3, "null")
+        << fmtDouble(R.total([](auto &W) { return W.WarmNs; }), 0) << ", "
+        << "\"instrs_per_sec\": " << fmtDouble(R.instrsPerSec(), 1)
         << ",\n     \"cold_instrs_per_sec\": "
         << fmtDouble(R.instrsPerSec(/*Cold=*/true), 1)
-        << ", \"phase_coverage\": " << ratioOr(R.coverage(false), 3, "null")
-        << ", \"ref_phase_coverage\": "
-        << ratioOr(R.coverage(true), 3, "null")
+        << ", \"phase_coverage\": " << fmtDouble(R.coverage(), 3)
         << ", \"verify_share\": " << fmtDouble(R.verifyShare(), 3)
         << ",\n     \"workloads\": [\n";
       for (size_t WI = 0; WI != R.Rows.size(); ++WI) {
         const WorkloadRow &W = R.Rows[WI];
-        const trace::TraceStats &T = W.Cold[0].Trace;
-        const opt::CleanupStats &CS = W.Cold[0].Cleanup;
+        const trace::TraceStats &T = W.Cold.Trace;
+        const opt::CleanupStats &CS = W.Cold.Cleanup;
         J << "      {\"name\": \"" << W.Name << "\", \"instrs\": "
-          << W.Cold[0].Instrs
-          << ", \"compile_ns\": " << W.FastNs
-          << ", \"ref_compile_ns\": " << W.RefNs
-          << ", \"cold_compile_ns\": " << W.Cold[0].WallNs
-          << ", \"ref_cold_compile_ns\": " << W.Cold[1].WallNs
+          << W.Cold.Instrs
+          << ", \"compile_ns\": " << W.WarmNs
+          << ", \"cold_compile_ns\": " << W.Cold.WallNs
           << ", \"verified_cold_compile_ns\": " << W.Verified.WallNs
           << ", \"verify_share\": " << fmtDouble(W.Verified.verifyShare(), 3)
-          << ",\n       \"phases\": " << phasesJson(W.Cold[0])
-          << ",\n       \"ref_phases\": " << phasesJson(W.Cold[1])
+          << ",\n       \"phases\": " << phasesJson(W.Cold)
           << ",\n       \"trace\": {\"form_ns\": " << T.FormNs
           << ", \"compact_ns\": " << T.CompactNs
           << ", \"compensation_ns\": " << T.CompensationNs
@@ -656,39 +393,11 @@ int main(int argc, char **argv) {
     J << "],\n";
     J << "  \"thread_scaling_deterministic\": "
       << (ScalingDeterministic ? "true" : "false") << ",\n";
-    J << "  \"sustained\": {\"requests\": " << Sustained.Requests
-      << ", \"mix\": {\"hit\": " << Sustained.HitReqs
-      << ", \"miss\": " << Sustained.MissReqs
-      << ", \"profile_cold\": " << Sustained.ColdReqs << "},\n"
-      << "    \"deterministic\": "
-      << (Sustained.Deterministic ? "true" : "false")
-      << ", \"runall_identical_1_vs_max\": "
-      << (Sustained.RunAllIdentical ? "true" : "false") << ",\n"
-      << "    \"points\": [";
-    for (size_t I = 0; I != Sustained.Points.size(); ++I) {
-      const SustainedPoint &P = Sustained.Points[I];
-      J << (I ? ", " : "") << "{\"threads\": " << P.Threads
-        << ", \"wall_ns\": " << P.WallNs << ", \"compiles_per_sec\": "
-        << fmtDouble(P.CompilesPerSec, 1) << ", \"scale_vs_1t\": "
-        << fmtDouble(P.ScaleVs1T, 3) << "}";
-    }
-    J << "]},\n";
-    J << "  \"result_cache\": {\"hits\": " << Sustained.ResultCache.Hits
-      << ", \"misses\": " << Sustained.ResultCache.Misses
-      << ", \"inflight_waits\": " << Sustained.ResultCache.InFlightWaits
-      << "},\n";
-    J << "  \"profile_cache\": {\"hits\": " << Sustained.ProfileCache.Hits
-      << ", \"misses\": " << Sustained.ProfileCache.Misses
-      << ", \"inflight_waits\": " << Sustained.ProfileCache.InFlightWaits
-      << "},\n";
     J << "  \"summary\": {\"headline\": \"BS+LU8+TrS\", "
       << "\"instrs_per_sec\": "
       << fmtDouble(Headline ? Headline->instrsPerSec() : 0.0, 1) << ", "
       << "\"cold_instrs_per_sec\": "
-      << fmtDouble(Headline ? Headline->instrsPerSec(true) : 0.0, 1) << ", "
-      << "\"end_to_end_speedup\": "
-      << ratioOr(Headline ? Headline->speedup() : 0.0, 3, "null") << ", "
-      << "\"scheduler_phase_speedup\": " << ratioOr(SchedSpeedup, 3, "null")
+      << fmtDouble(Headline ? Headline->instrsPerSec(true) : 0.0, 1)
       << ", \"verify_share\": " << fmtDouble(VerifyShare, 3) << "}\n}\n";
     if (!writeBenchJson(JsonPath, J.str()))
       return 1;
@@ -736,42 +445,10 @@ int main(int argc, char **argv) {
   // --- Determinism gate -----------------------------------------------------
   // Divergent output across thread counts is a correctness bug, not a
   // performance number; always fatal.
-  if (!ScalingDeterministic || !Sustained.Deterministic ||
-      !Sustained.RunAllIdentical) {
-    std::fprintf(stderr, "FAIL: results differ across thread counts "
-                         "(scaling %d, sustained %d, runAll %d)\n",
-                 ScalingDeterministic, Sustained.Deterministic,
-                 Sustained.RunAllIdentical);
+  if (!ScalingDeterministic) {
+    std::fprintf(stderr, "FAIL: compiled modules differ across thread "
+                         "counts\n");
     return 1;
-  }
-
-  // --- Thread-scaling gate --------------------------------------------------
-  // The committed floor (--min-scale, set in CI) is calibrated for an
-  // 8-hardware-thread machine; with fewer cores perfect scaling is capped
-  // at the core count, so derate the floor to 0.6x the available cores —
-  // and on a single-core machine just require that extra workers do not
-  // regress the 1-worker wall time by more than ~30%. A sweep of one
-  // thread count has nothing to compare, so the gate fails rather than
-  // pass unchecked.
-  if (MinScale > 0.0) {
-    if (Sustained.Points.size() < 2) {
-      std::fprintf(stderr, "FAIL: --min-scale needs at least two thread "
-                           "counts (--max-threads 2 or more)\n");
-      return 1;
-    }
-    unsigned HW = std::max(1u, std::thread::hardware_concurrency());
-    double Floor = MinScale;
-    if (HW < 8)
-      Floor = std::min(MinScale, HW > 1 ? 0.6 * static_cast<double>(HW) : 0.7);
-    double Scale = Sustained.Points.back().ScaleVs1T;
-    std::printf("gate: sustained scale %ut/%ut = %.2fx (floor %.2fx, "
-                "%u hardware threads) %s\n",
-                Sustained.Points.back().Threads, 1u, Scale, Floor, HW,
-                Scale >= Floor ? "ok" : "REGRESSION");
-    if (Scale < Floor) {
-      std::fprintf(stderr, "FAIL: sustained thread scaling below floor\n");
-      return 1;
-    }
   }
   return 0;
 }

@@ -15,21 +15,22 @@
 // source, cross-checks its checksum against the simulated one, and rates it
 // in the same unit: the 21164 rows' dynamic instructions per second.
 //
+// A thread-scaling sweep then simulates every workload on 1, 2, 4, ...
+// workers up to one per hardware thread (bench::threadSweep).
+//
 // Emits machine-readable BENCH_sim.json so the simulated-instructions-per-
 // second trajectory is tracked across PRs, and optionally gates against a
 // checked-in baseline (exit 1 on a >25% regression).
 //
 // Usage:
 //   bench_sim_throughput [--quick] [--json PATH] [--baseline PATH]
-//                        [--max-threads N]
 //
 //   --quick       1 repetition per measurement (the CI mode).
 //   --json PATH   where to write BENCH_sim.json (default: cwd).
 //   --baseline    baseline JSON with "min_instrs_per_sec" per model tag
 //                 (or "oracle"); exit 1 if any measured throughput falls
 //                 below 75% of it.
-//   --max-threads cap for the thread-scaling sweep (default 8; a positive
-//                 integer, anything else exits 2).
+//   Any other argument exits 2.
 //
 //===----------------------------------------------------------------------===//
 
@@ -98,7 +99,6 @@ int main(int argc, char **argv) {
   bool Quick = false;
   std::string JsonPath = "BENCH_sim.json";
   std::string BaselinePath;
-  unsigned MaxThreads = 8;
   for (int I = 1; I != argc; ++I) {
     if (!std::strcmp(argv[I], "--quick"))
       Quick = true;
@@ -106,9 +106,6 @@ int main(int argc, char **argv) {
       JsonPath = argv[++I];
     else if (!std::strcmp(argv[I], "--baseline") && I + 1 != argc)
       BaselinePath = argv[++I];
-    else if (!std::strcmp(argv[I], "--max-threads") && I + 1 != argc &&
-             parsePositive(argv[I + 1], MaxThreads))
-      ++I;
     else {
       std::fprintf(stderr, "unknown argument or bad value: %s\n", argv[I]);
       return 2;
@@ -244,7 +241,7 @@ int main(int argc, char **argv) {
   // Wall time to simulate every workload on the full model on a pool of T
   // workers; each simulation is deterministic, so only the wall time varies.
   std::vector<ScalePoint> Scaling;
-  for (unsigned T = 1; T <= MaxThreads; T *= 2) {
+  for (unsigned T : threadSweep(Modules.size())) {
     uint64_t T0 = nowNs();
     ThreadPool::parallelForChunked(T, Modules.size(), [&](size_t I) {
       sim::SimResult S = sim::simulate(Modules[I], {});
@@ -259,7 +256,7 @@ int main(int argc, char **argv) {
   // --- JSON -----------------------------------------------------------------
   {
     std::ostringstream J;
-    J << benchJsonHead("bsched-sim-throughput-v1", MaxThreads);
+    J << benchJsonHead("bsched-sim-throughput-v1", Scaling.back().Threads);
     J << "  \"quick\": " << (Quick ? "true" : "false") << ",\n";
     J << "  \"compile_config\": \"" << Opts.tag() << "\",\n";
     J << "  \"models\": [\n";

@@ -45,7 +45,7 @@ namespace driver {
 /// removed, reordered, or re-typed). The store embeds it in both the content
 /// key and the file header, so stale entries of either polarity read as
 /// misses, never as garbage values.
-constexpr uint32_t ArtifactSchemaVersion = 1;
+constexpr uint32_t ArtifactSchemaVersion = 2;
 
 // Simulation / profile artifacts.
 void encode(ByteWriter &W, const sim::SimResult &R);

@@ -142,9 +142,12 @@ CompileResult driver::compileProgram(const lang::Program &Source,
                  : (Ref ? ir::interpretByInstr(R.M) : profileModule(R.M));
     });
     if (!Profile.Finished) {
-      R.Error = Opts.UseEstimatedProfile
-                    ? "profile estimate: some path never returns"
-                    : "profiling run exceeded the instruction budget";
+      if (Opts.UseEstimatedProfile)
+        R.Error = "profile estimate: some path never returns";
+      else if (!Profile.Error.empty())
+        R.Error = "profiling run: " + Profile.Error;
+      else
+        R.Error = "profiling run exceeded the instruction budget";
       return R;
     }
     R.Trace = inPhase(Phase::TraceSched, [&] {

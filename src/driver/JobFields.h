@@ -56,7 +56,6 @@ constexpr void fieldList(sched::BalanceOptions *, F &&Field) {
   Field("respecthits", &T::RespectHitAnnotations);
   Field("pressure", &T::PressureThreshold);
   Field("balancefixed", &T::BalanceFixedOps);
-  Field("hybridcost", &T::HybridLoadCost);
   Field("impl", &T::Impl);
   Field("exact", &T::Exact);
 }
@@ -173,6 +172,7 @@ template <typename F> constexpr void fieldList(sim::SimResult *, F &&Field) {
 template <typename F> constexpr void fieldList(ir::InterpResult *, F &&Field) {
   using T = ir::InterpResult;
   Field("Finished", &T::Finished);
+  Field("Error", &T::Error);
   Field("DynInstrs", &T::DynInstrs);
   Field("Checksum", &T::Checksum);
   Field("BlockCounts", &T::BlockCounts);

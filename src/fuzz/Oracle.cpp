@@ -213,7 +213,8 @@ Failure compileOracle(const lang::Program &P, uint64_t RefChecksum,
   ir::InterpResult I = ir::interpret(C.M);
   if (!I.Finished)
     return fail(FailureKind::InterpDivergence, Tag, Index, "",
-                "interpreter exceeded its instruction budget");
+                I.Error.empty() ? "interpreter exceeded its instruction budget"
+                                : "interpreter: " + I.Error);
   if (I.Checksum != RefChecksum)
     return fail(FailureKind::InterpDivergence, Tag, Index, "",
                 "checksum interp=" + std::to_string(I.Checksum) +

@@ -25,9 +25,9 @@
 /// in driver/JobFields.h, which cover every field:
 ///
 ///   scheduler unroll trace estprofile locality cleanup stopbeforeregalloc
-///   verify weightcap respecthits pressure balancefixed hybridcost impl
-///   exactnodes exactexpansions exactloadlatency ifconv strengthred
-///   allocatable traceimpl
+///   verify weightcap respecthits pressure balancefixed impl exactnodes
+///   exactexpansions exactloadlatency ifconv strengthred allocatable
+///   traceimpl
 ///
 /// Values: `scheduler` is traditional|balanced|hybrid, `impl` is
 /// fast|reference|exact, `traceimpl` is fast|reference, switches are 0|1,

@@ -16,6 +16,11 @@ ExecState::ExecState(const Module &M)
   assert(M.MemorySize != 0 && "module must be laid out before execution");
 }
 
+std::string ir::storeFaultError(uint64_t Addr, uint64_t MemSize) {
+  return "store out of bounds: 8 bytes at address " + std::to_string(Addr) +
+         " in a memory image of " + std::to_string(MemSize) + " bytes";
+}
+
 uint64_t ExecState::outputChecksum(const Module &M) const {
   uint64_t Hash = 1469598103934665603ull;
   for (const ArrayInfo &A : M.Arrays) {
@@ -171,6 +176,10 @@ InterpResult ir::interpretByInstr(const Module &M, uint64_t MaxInstrs) {
     R.DynInstrs += BB.Instrs.size();
     for (size_t K = 0; K + 1 < BB.Instrs.size(); ++K)
       executeInstr(S, BB.Instrs[K]);
+    if (S.storeFaulted()) {
+      R.Error = S.storeFault();
+      return R;
+    }
     const Instr &T = BB.terminator();
     switch (T.Op) {
     case Opcode::Br:
@@ -373,7 +382,9 @@ InterpResult ir::interpret(const Module &M, uint64_t MaxInstrs) {
   const auto WriteF = [&](uint32_t Id, double V) {
     std::memcpy(&Rg[Id], &V, sizeof(double));
   };
-  // Same non-faulting semantics as ExecState::loadWord / storeWord.
+  // Same semantics as ExecState::loadWord / storeWord: a load out of range
+  // reads garbage, a store out of range writes nothing and ends the run at
+  // its block's terminator.
   const auto LoadW = [&](uint64_t Addr) -> uint64_t {
     if (Addr + 8 > MemSize || Addr + 8 < Addr)
       return 0xdeadbeefdeadbeefull ^ Addr;
@@ -381,8 +392,15 @@ InterpResult ir::interpret(const Module &M, uint64_t MaxInstrs) {
     std::memcpy(&V, Mem + Addr, 8);
     return V;
   };
+  bool Faulted = false;
+  uint64_t FaultAddr = 0;
   const auto StoreW = [&](uint64_t Addr, uint64_t V) {
-    assert(Addr + 8 <= MemSize && "store out of bounds");
+    if (Addr + 8 > MemSize || Addr + 8 < Addr) [[unlikely]] {
+      if (!Faulted)
+        FaultAddr = Addr;
+      Faulted = true;
+      return;
+    }
     std::memcpy(Mem + Addr, &V, 8);
   };
 
@@ -632,6 +650,8 @@ Enter:
     BS_NEXT;
   }
   BS_CASE(PkBr)
+    if (Faulted) [[unlikely]]
+      goto Fault;
     if (ReadI(O->A) != 0) {
       ++EC[Block][0];
       Next = static_cast<int>(O->Dst);
@@ -641,16 +661,25 @@ Enter:
     }
     goto Enter;
   BS_CASE(PkJmp)
+    if (Faulted) [[unlikely]]
+      goto Fault;
     ++EC[Block][0];
     Next = static_cast<int>(O->Dst);
     goto Enter;
   BS_CASE(PkRet)
+    if (Faulted) [[unlikely]]
+      goto Fault;
     R.Finished = true;
     R.DynInstrs = Dyn;
     R.Checksum = S.outputChecksum(M);
     return R;
 
   BS_DISPATCH_END
+
+Fault:
+  R.DynInstrs = Dyn;
+  R.Error = storeFaultError(FaultAddr, MemSize);
+  return R;
 
 #undef BS_CASE
 #undef BS_NEXT

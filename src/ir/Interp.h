@@ -22,6 +22,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 namespace bsched {
@@ -29,7 +30,8 @@ namespace ir {
 
 /// Result of one interpreter run.
 struct InterpResult {
-  bool Finished = false; ///< false = instruction budget exhausted.
+  bool Finished = false; ///< false = budget exhausted, or Error is set.
+  std::string Error;     ///< non-empty when a store left the memory image.
   uint64_t DynInstrs = 0;
   uint64_t Checksum = 0; ///< FNV-1a over the output arrays' bytes.
   /// Executions per block.
@@ -39,11 +41,12 @@ struct InterpResult {
 };
 
 /// Executes \p M from its entry block until Ret (or until \p MaxInstrs
-/// instructions have run). The module must have been laid out. Predecodes
-/// every instruction into a compact micro-op once, then runs the flat
-/// micro-op stream — the IR's Instr is large (memory instructions carry a
-/// symbolic address-term vector) and walking it per dynamic instruction
-/// dominates profiling time.
+/// instructions have run, or until the terminator of a block in which a
+/// store left the memory image; see ExecState::storeWord). The module must
+/// have been laid out. Predecodes every instruction into a compact micro-op
+/// once, then runs the flat micro-op stream — the IR's Instr is large
+/// (memory instructions carry a symbolic address-term vector) and walking
+/// it per dynamic instruction dominates profiling time.
 InterpResult interpret(const Module &M, uint64_t MaxInstrs = 1000000000ull);
 
 /// The original executor: walks the IR instruction-by-instruction through
@@ -63,6 +66,11 @@ InterpResult interpretByInstr(const Module &M,
 /// description of the first violation.
 std::string checkProfileConservation(const Function &F, const InterpResult &R,
                                      uint64_t EntryUnits);
+
+/// The error that ends a run whose store wrote 8 bytes at \p Addr into a
+/// memory image of \p MemSize bytes: the interpreters and both simulator
+/// cores report it in the same words.
+std::string storeFaultError(uint64_t Addr, uint64_t MemSize);
 
 /// Architectural state (register file + memory image) shared by the
 /// functional interpreter and the timing simulator.
@@ -96,10 +104,23 @@ public:
     std::memcpy(&V, &Memory[Addr], 8);
     return V;
   }
-  /// Writes a 64-bit word; out-of-range stores are program bugs (asserts).
+  /// Writes a 64-bit word. An out-of-range store is a program bug (no
+  /// speculation rule permits one): it writes nothing and records the first
+  /// such address. The execution loops test storeFaulted() at each block's
+  /// terminator, off the per-op path, and end the run with storeFault().
   void storeWord(uint64_t Addr, uint64_t V) {
-    assert(Addr + 8 <= Memory.size() && "store out of bounds");
+    if (Addr + 8 > Memory.size() || Addr + 8 < Addr) [[unlikely]] {
+      if (!Faulted)
+        FaultAddr = Addr;
+      Faulted = true;
+      return;
+    }
     std::memcpy(&Memory[Addr], &V, 8);
+  }
+  bool storeFaulted() const { return Faulted; }
+  /// The error text of the first out-of-range store.
+  std::string storeFault() const {
+    return storeFaultError(FaultAddr, Memory.size());
   }
 
   /// Effective address of a memory instruction under the current registers.
@@ -121,6 +142,8 @@ public:
 private:
   std::vector<uint64_t> Regs;
   ZeroBuffer<uint8_t> Memory;
+  bool Faulted = false;
+  uint64_t FaultAddr = 0;
 };
 
 /// Architecturally executes one non-terminator instruction (terminators are

@@ -562,7 +562,7 @@ sched::effectiveKind(SchedulerKind Kind,
   for (const Instr *I : Instrs) {
     if (I->isLoad()) {
       if (!(Opts.RespectHitAnnotations && I->HM == HitMiss::Hit))
-        LoadDemand += Opts.HybridLoadCost;
+        LoadDemand += HybridLoadCost;
     } else if (!I->isTerminator()) {
       FixedDemand += opInfo(I->Op).Latency - 1;
     }

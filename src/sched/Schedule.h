@@ -53,11 +53,6 @@ struct BalanceOptions {
   /// shared between loads and long fixed-latency operations instead of
   /// being monopolized by loads.
   bool BalanceFixedOps = false;
-  /// Expected per-load latency-hiding demand (cycles) used by the Hybrid
-  /// chooser; tuned on the workload (the fate of any static heuristic of
-  /// this kind): high enough that miss-prone blocks stay balanced, low
-  /// enough that recurrence/divide-bound blocks fall back to traditional.
-  int HybridLoadCost = 6;
   /// Scheduler-core implementation. Reference selects the original seed
   /// algorithms (sched::reference::*) end to end — DAG build, weights, and
   /// list scheduling — for golden-schedule testing and speedup measurement
@@ -185,6 +180,13 @@ private:
 /// consumed-minus-defined tie-breaker and 50-cycle weight cap approximate).
 /// 0 disables the ceiling (ablation).
 constexpr unsigned DefaultPressureThreshold = 24;
+
+/// Expected per-load latency-hiding demand (cycles) used by the Hybrid
+/// chooser (effectiveKind); tuned on the workload (the fate of any static
+/// heuristic of this kind): high enough that miss-prone blocks stay
+/// balanced, low enough that recurrence/divide-bound blocks fall back to
+/// traditional.
+constexpr int HybridLoadCost = 6;
 
 
 /// Top-down list scheduling of \p G with the given weights. Priority of an

@@ -178,6 +178,14 @@ public:
           continue;
         }
         if (Op.Flags & FlagTerm) {
+          // A store of this block left the memory image: the run ends here,
+          // where the reference core ends it too.
+          if (State.storeFaulted()) [[unlikely]] {
+            R.Error = State.storeFault();
+            R.Cycles = S.Cycle + 1;
+            finishCounts(CountBy);
+            return R;
+          }
           if (Op.TermKind == TermRet) {
             R.Finished = true;
             R.Cycles = S.Cycle + 1;

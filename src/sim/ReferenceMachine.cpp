@@ -68,6 +68,12 @@ public:
       takeSlot(In);
 
       if (In.isTerminator()) {
+        // A store of this block left the memory image.
+        if (State.storeFaulted()) {
+          R.Error = State.storeFault();
+          R.Cycles = Cycle + 1;
+          return R;
+        }
         if (In.Op == Opcode::Ret) {
           R.Finished = true;
           R.Cycles = Cycle + 1;

@@ -7,9 +7,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Compiler.h"
+#include "driver/JobFields.h"
 #include "ir/IRParser.h"
+#include "ir/Interp.h"
 #include "lang/Generate.h"
 #include "lang/Parser.h"
+#include "regalloc/LinearScan.h"
+#include "sim/Machine.h"
 #include "sim/Report.h"
 #include "support/RNG.h"
 
@@ -95,6 +99,50 @@ TEST(Robustness, DriverDiagnosesEveryStage) {
       "array A[4] output;\nA[0] = 1.0;\n", "r", Bad);
   EXPECT_FALSE(R.ok());
   EXPECT_NE(R.Error.find("regalloc"), std::string::npos);
+}
+
+namespace {
+
+/// A laid-out module whose only store writes the 8 bytes at \p Addr, an
+/// ldi literal.
+ir::Module storeAt(const std::string &Addr) {
+  ir::ParseIRResult R = ir::parseModule(
+      "array A 16\narray Out 4 output\nfunc f\nb0:\n  ldi v0, " + Addr +
+      "\n  ldi v1, 7\n  st v1, 0(v0)\n  ret\n");
+  EXPECT_TRUE(R.ok()) << R.Error;
+  return std::move(R.M);
+}
+
+} // namespace
+
+// A store outside the memory image writes nothing and fails the run in
+// every build type (the check is no assert), in both interpreters and in
+// both simulator cores, which stop at the same point with the same error.
+// CI's ASan leg would flag any write past the image.
+TEST(Robustness, OutOfRangeStoreFailsTheRun) {
+  const uint64_t Size = storeAt("0").MemorySize;
+  // At the image's end, and at 2^64 - 4, where Addr + 8 wraps.
+  for (const std::string &Addr : {std::to_string(Size), std::string("-4")}) {
+    ir::Module M = storeAt(Addr);
+    ASSERT_EQ(M.MemorySize, Size);
+    const std::string Where =
+        "address " + std::to_string(static_cast<uint64_t>(std::stoll(Addr)));
+
+    ir::InterpResult I = ir::interpret(M);
+    ir::InterpResult IB = ir::interpretByInstr(M);
+    EXPECT_FALSE(I.Finished) << Addr;
+    EXPECT_NE(I.Error.find(Where), std::string::npos) << I.Error;
+    EXPECT_EQ(driver::firstDifference(I, IB, "interpret", "byInstr"), "");
+
+    ASSERT_TRUE(regalloc::allocateRegisters(M).ok());
+    sim::MachineConfig Fast, Ref;
+    Ref.Impl = sim::SimImpl::Reference;
+    sim::SimResult F = sim::simulate(M, Fast);
+    sim::SimResult R = sim::simulate(M, Ref);
+    EXPECT_FALSE(F.ok() || F.Finished) << Addr;
+    EXPECT_NE(F.Error.find(Where), std::string::npos) << F.Error;
+    EXPECT_EQ(driver::firstDifference(F, R, "fast", "ref"), "");
+  }
 }
 
 TEST(Robustness, ReportHandlesErrorResults) {

@@ -2,9 +2,14 @@
 # malformed value exits 2 before anything compiles, so a typo can never turn
 # a CI gate off or into a different bound. Only rejections are checked: an
 # accepted value would run the whole bench.
+# The compile and sim trackers take no thread or scaling flag: their sweeps
+# run up to one worker per hardware thread. Each call names a JSON path in
+# the build tree first, so a tracker that accepted the flag would write its
+# report there, not into the test's working directory.
 # Run by ctest as:
 #   cmake -DGAP=<bench_gap_oracle> -DPROFILE=<bench_profile_estimator>
-#         -P tracker_flags_test.cmake
+#         -DCOMPILE=<bench_compile_throughput> -DSIM=<bench_sim_throughput>
+#         -DJSON=<a file in the build tree> -P tracker_flags_test.cmake
 
 # Fails the test unless `BENCH FLAG VALUE` exits 2.
 function(expect_rejected Bench Flag Value)
@@ -26,3 +31,17 @@ foreach(Value abc 5x -1)
   expect_all_rejected(${Value})
 endforeach()
 expect_all_rejected("")
+
+# Fails the test unless `BENCH --json JSON ARGS...` exits 2.
+function(expect_tracker_rejected Bench)
+  execute_process(COMMAND "${Bench}" --json "${JSON}" ${ARGN}
+                  RESULT_VARIABLE Rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT Rc STREQUAL "2")
+    list(JOIN ARGN " " Args)
+    message(SEND_ERROR "${Bench} ${Args}: exit ${Rc}, want 2")
+  endif()
+endfunction()
+
+expect_tracker_rejected("${COMPILE}" --min-scale 4)
+expect_tracker_rejected("${COMPILE}" --max-threads 8)
+expect_tracker_rejected("${SIM}" --max-threads 8)
