@@ -3,23 +3,21 @@
 // The question the paper leaves open: how far from cycle-optimal are
 // balanced scheduling (BS) and greedy/traditional list scheduling (TS)?
 // For every workload and machine model (the exact oracle's modelled
-// load-to-use latency: L1 hit, L2, memory), compiles each scheduler's
-// output up to (but excluding) register allocation, asks the
-// branch-and-bound oracle (sched/Exact.h) for the proven per-block optimum,
-// and reports the cycle gap over solver-closed blocks plus closure rates
-// and solve time. Emits machine-readable BENCH_gap.json.
+// load-to-use latency: L1 hit, L2, memory), compiles the workload unrolled
+// by 4 under each scheduler, up to (but excluding) register allocation,
+// asks the branch-and-bound oracle (sched/Exact.h) for the proven
+// per-block optimum, and reports the cycle gap over solver-closed blocks
+// plus closure rates and solve time. Emits machine-readable BENCH_gap.json.
 //
 // Usage:
-//   bench_gap_oracle [--quick] [--json PATH] [--unroll N]
-//                    [--min-closure PCT]
+//   bench_gap_oracle [--quick] [--json PATH] [--min-closure PCT]
 //
 //   --quick        reduced solver budgets (the CI mode).
 //   --json PATH    where to write BENCH_gap.json (default: cwd).
-//   --unroll N     unroll factor for every compile (default 4).
 //   --min-closure  exit 1 if the overall %-closed falls below PCT.
 //
-// A numeric flag whose value does not parse in full as a positive number
-// exits 2, naming the flag, before anything compiles.
+// A --min-closure value that does not parse in full as a positive number,
+// like any unknown argument, exits 2, naming it, before anything compiles.
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,9 +73,12 @@ struct SchedCell {
   }
 };
 
+/// Unroll factor of every compile.
+constexpr int Unroll = 4;
+
 /// Compiles \p P under \p Kind (stopping before register allocation) and
 /// runs the exact oracle over every schedulable block.
-SchedCell solveBlocks(const lang::Program &P, SchedulerKind Kind, int Unroll,
+SchedCell solveBlocks(const lang::Program &P, SchedulerKind Kind,
                       const exact::ExactOptions &EO) {
   CompileOptions Opts;
   Opts.Scheduler = Kind;
@@ -136,16 +137,12 @@ struct WorkloadRow {
 int main(int argc, char **argv) {
   bool Quick = false;
   std::string JsonPath = "BENCH_gap.json";
-  int Unroll = 4;
   double MinClosure = -1.0;
   for (int I = 1; I != argc; ++I) {
     if (!std::strcmp(argv[I], "--quick"))
       Quick = true;
     else if (!std::strcmp(argv[I], "--json") && I + 1 != argc)
       JsonPath = argv[++I];
-    else if (!std::strcmp(argv[I], "--unroll") && I + 1 != argc &&
-             parsePositive(argv[I + 1], Unroll))
-      ++I;
     else if (!std::strcmp(argv[I], "--min-closure") && I + 1 != argc &&
              parsePositive(argv[I + 1], MinClosure))
       ++I;
@@ -179,8 +176,8 @@ int main(int argc, char **argv) {
       lang::Program P = parseWorkload(W);
       WorkloadRow Row;
       Row.Name = W.Name;
-      Row.BS = solveBlocks(P, SchedulerKind::Balanced, Unroll, MEO);
-      Row.TS = solveBlocks(P, SchedulerKind::Traditional, Unroll, MEO);
+      Row.BS = solveBlocks(P, SchedulerKind::Balanced, MEO);
+      Row.TS = solveBlocks(P, SchedulerKind::Traditional, MEO);
       ModelBS.add(Row.BS);
       ModelTS.add(Row.TS);
       Rows.push_back(std::move(Row));

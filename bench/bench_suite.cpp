@@ -8,7 +8,7 @@
 // and multi-second simulations is exactly the non-uniform-duration case
 // guided self-scheduling serves), and each table's emitter then assembles
 // its output from the warm cache. With a persistent artifact store
-// configured (--store or BSCHED_ARTIFACT_DIR), results outlive the process:
+// configured (--store), results outlive the process:
 // a warm re-run deserializes instead of recomputing.
 //
 // Output contract: a table's bytes are the same whichever tables run beside
@@ -234,8 +234,7 @@ int main(int argc, char **argv) {
     driver::setArtifactStoreDir(StoreDir);
   if (Measure && !driver::artifactStoreEnabled()) {
     std::fprintf(stderr,
-                 "--measure needs a persistent store: pass --store DIR or "
-                 "set BSCHED_ARTIFACT_DIR\n");
+                 "--measure needs a persistent store: pass --store DIR\n");
     return 2;
   }
 

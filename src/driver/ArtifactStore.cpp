@@ -8,7 +8,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -32,7 +31,6 @@ constexpr uint32_t ArtifactMagic = 0x52415342u; // "BSAR"
 struct StoreState {
   std::mutex Mu;
   std::string Dir;
-  bool DirResolved = false;
   std::atomic<bool> ReadsEnabled{true};
 
   std::atomic<uint64_t> DiskHits{0};
@@ -112,7 +110,6 @@ void driver::setArtifactStoreDir(const std::string &Dir) {
   StoreState &S = state();
   std::lock_guard<std::mutex> Lock(S.Mu);
   S.Dir = Dir;
-  S.DirResolved = true;
   if (!Dir.empty()) {
     std::error_code EC;
     std::filesystem::create_directories(Dir, EC);
@@ -124,17 +121,6 @@ void driver::setArtifactStoreDir(const std::string &Dir) {
 std::string driver::artifactStoreDir() {
   StoreState &S = state();
   std::lock_guard<std::mutex> Lock(S.Mu);
-  if (!S.DirResolved) {
-    S.DirResolved = true;
-    if (const char *Env = std::getenv("BSCHED_ARTIFACT_DIR");
-        Env && Env[0] != '\0') {
-      S.Dir = Env;
-      std::error_code EC;
-      std::filesystem::create_directories(S.Dir, EC);
-      if (EC)
-        S.Dir.clear();
-    }
-  }
   return S.Dir;
 }
 

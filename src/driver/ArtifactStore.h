@@ -22,10 +22,9 @@
 /// concurrent writers of the same key — two suite processes, or a writer
 /// racing a reader — leave one complete file, never an interleaved one.
 ///
-/// The store is disabled until given a directory, either explicitly
-/// (setArtifactStoreDir) or via the BSCHED_ARTIFACT_DIR environment
-/// variable; all entry points are no-ops while disabled, so binaries that
-/// never opt in keep their exact pre-store behaviour.
+/// The store is disabled until setArtifactStoreDir gives it a directory;
+/// all entry points are no-ops while disabled, so binaries that never opt
+/// in keep their exact pre-store behaviour.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,12 +50,10 @@ struct ArtifactStoreStats {
 };
 
 /// Points the store at \p Dir (created if missing) or disables it with "".
-/// Overrides BSCHED_ARTIFACT_DIR. Not safe to call concurrently with loads
-/// or stores.
+/// Not safe to call concurrently with loads or stores.
 void setArtifactStoreDir(const std::string &Dir);
 
-/// The active store directory ("" when disabled). Resolves the environment
-/// variable on first use.
+/// The active store directory ("" when disabled).
 std::string artifactStoreDir();
 
 /// True when a store directory is configured.

@@ -96,16 +96,10 @@ constexpr void fieldList(sim::MachineConfig *, F &&Field) {
   Field("predictor", &T::BranchPredictorEntries);
   Field("mispredict", &T::BranchMispredictPenalty);
   Field("issuewidth", &T::IssueWidth);
-  Field("maxint", &T::MaxIntPerCycle);
-  Field("maxfp", &T::MaxFpPerCycle);
-  Field("maxmem", &T::MaxMemPerCycle);
-  Field("codebase", &T::CodeBase);
   Field("perfectfrontend", &T::PerfectFrontEnd);
   Field("simple", &T::SimpleModel);
   Field("simplehitrate", &T::SimpleHitRate);
-  Field("simplehitlatency", &T::SimpleHitLatency);
   Field("simplemisslatency", &T::SimpleMissLatency);
-  Field("simpleseed", &T::SimpleSeed);
   Field("impl", &T::Impl);
 }
 

@@ -152,7 +152,9 @@ std::vector<MachinePoint> fuzz::goldenMachinePoints() {
           {"w4", widthMachine(4)}};
 }
 
-MachineConfig fuzz::machineByTag(const std::string &Tag) {
+std::optional<MachineConfig> fuzz::machineByTag(const std::string &Tag) {
+  if (Tag == "21164")
+    return machine21164();
   if (Tag == "simple80")
     return simpleModelMachine(0.8);
   if (Tag == "simple95")
@@ -167,5 +169,5 @@ MachineConfig fuzz::machineByTag(const std::string &Tag) {
     return widthMachine(2);
   if (Tag == "w4")
     return widthMachine(4);
-  return machine21164();
+  return std::nullopt;
 }

@@ -17,6 +17,8 @@
 #include "driver/Compiler.h"
 #include "sim/Machine.h"
 
+#include <optional>
+#include <string>
 #include <vector>
 
 namespace bsched {
@@ -60,9 +62,10 @@ std::vector<MachinePoint> differentialMachinePoints();
 /// Machine models whose statistics golden_sim_test pins per workload.
 std::vector<MachinePoint> goldenMachinePoints();
 
-/// Looks up a machine point by tag across the points above (plus "oddgeom",
-/// "pfe", "w2", "w4"); returns the 21164 when \p Tag is empty or unknown.
-sim::MachineConfig machineByTag(const std::string &Tag);
+/// Looks up a machine by tag: "21164", "simple80", "simple95", "starved",
+/// "oddgeom", "pfe", "w2" or "w4". Any other tag, the empty one included,
+/// yields std::nullopt.
+std::optional<sim::MachineConfig> machineByTag(const std::string &Tag);
 
 } // namespace fuzz
 } // namespace bsched

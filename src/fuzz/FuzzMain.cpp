@@ -10,7 +10,7 @@
 /// Exit status: 0 = clean campaign (or a --replay that no longer fails),
 /// 1 = at least one differential failure, 2 = usage error, among them a
 /// numeric flag whose value does not parse in full or lies outside its
-/// range.
+/// range, and a --corpus directory that cannot be created.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +18,7 @@
 #include "support/Str.h"
 #include "support/ThreadPool.h"
 
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -46,22 +47,19 @@ void printUsage(std::ostream &OS) {
         "  --seed <n>       campaign seed (default 1)\n"
         "  --jobs <n>       mutated candidates per round (default 24)\n"
         "  --initial <n>    generator-seeded corpus size (default 16)\n"
-        "  --corpus <dir>   write reduced repro files here\n"
-        "  --no-reduce      report failures without reducing them\n"
+        "  --corpus <dir>   write reduced repro files here (created if\n"
+        "                   missing)\n"
         "  --no-sim         skip the simulator differential sweep\n"
         "  --gap            also run the optimality-gap oracle leg: the\n"
         "                   exact branch-and-bound scheduler judges every\n"
         "                   solver-closed block (legality, solver sanity,\n"
-        "                   fast within --gap-pct of optimal)\n"
-        "  --gap-pct <f>    allowed fast-over-optimal excess in percent\n"
-        "                   (default 100)\n"
+        "                   fast within twice the optimum)\n"
         "  --est            also run the estimated-profile oracle leg: the\n"
         "                   static profile estimate of every config's module\n"
         "                   must be flow-conserving, deterministic, and\n"
         "                   safely drive trace formation\n"
         "  --replay <file>  replay one repro file through the oracle and\n"
         "                   report whether it still fails\n"
-        "  --quiet          suppress per-round progress lines\n"
         "  --help           this text\n";
 }
 
@@ -97,7 +95,6 @@ int replayFile(const std::string &Path) {
 
 int main(int argc, char **argv) {
   fuzz::FuzzOptions Opts;
-  Opts.Seconds = 10.0;
   std::string ReplayPath;
 
   for (int I = 1; I < argc; ++I) {
@@ -151,20 +148,12 @@ int main(int argc, char **argv) {
       const char *V = NextArg("--replay");
       if (!V) return 2;
       ReplayPath = V;
-    } else if (A == "--no-reduce") {
-      Opts.ReduceFailures = false;
     } else if (A == "--no-sim") {
       Opts.Oracle.RunSim = false;
     } else if (A == "--gap") {
       Opts.Oracle.CheckOptimalityGap = true;
     } else if (A == "--est") {
       Opts.Oracle.CheckEstimatedProfile = true;
-    } else if (A == "--gap-pct") {
-      const char *V = NextArg("--gap-pct");
-      if (!V) return 2;
-      if (!parseNonNegative(V, Opts.Oracle.MaxGapPct)) return BadValue();
-    } else if (A == "--quiet") {
-      Opts.Verbose = false;
     } else {
       std::cerr << "bsched-fuzz: unknown option '" << A << "'\n";
       printUsage(std::cerr);
@@ -174,6 +163,16 @@ int main(int argc, char **argv) {
 
   if (!ReplayPath.empty())
     return replayFile(ReplayPath);
+
+  if (!Opts.CorpusDir.empty()) {
+    std::error_code EC;
+    std::filesystem::create_directories(Opts.CorpusDir, EC);
+    if (EC) {
+      std::cerr << "bsched-fuzz: cannot create corpus directory '"
+                << Opts.CorpusDir << "': " << EC.message() << "\n";
+      return 2;
+    }
+  }
 
   fuzz::FuzzReport Report = fuzz::runFuzzer(Opts, &std::cout);
 

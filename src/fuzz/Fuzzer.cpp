@@ -3,6 +3,7 @@
 #include "fuzz/Fuzzer.h"
 
 #include "fuzz/Reduce.h"
+#include "lang/Generate.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -17,6 +18,14 @@ using namespace bsched;
 using namespace bsched::fuzz;
 
 namespace {
+
+/// Corpus-size cap; growth stops once reached (coverage still counts).
+constexpr size_t MaxCorpus = 512;
+/// Probability a job starts from a fresh generated program instead of
+/// mutating a corpus parent.
+constexpr double FreshProgramChance = 0.1;
+/// Mutations applied per job: 1 + uniform[0, MutationsPerJob).
+constexpr uint64_t MutationsPerJob = 3;
 
 uint64_t mix64(uint64_t X) {
   X += 0x9e3779b97f4a7c15ull;
@@ -43,24 +52,21 @@ struct JobResult {
 /// generate fresh), mutate, run the oracle. Pure function of the job seed
 /// and the snapshot.
 JobResult runJob(uint64_t Seed, const std::vector<lang::Program> &Corpus,
-                 const FuzzOptions &Opts) {
+                 const OracleOptions &Oracle) {
   RNG Rng(Seed);
   JobResult R;
-  const bool Fresh =
-      Corpus.empty() || Rng.nextBool(Opts.FreshProgramChance);
+  const bool Fresh = Corpus.empty() || Rng.nextBool(FreshProgramChance);
   if (Fresh) {
-    R.P = lang::generateProgram(Rng.next(), Opts.Generate);
+    R.P = lang::generateProgram(Rng.next());
     R.Mutated = true; // a fresh program is always a candidate.
   } else {
     R.P = Corpus[Rng.nextBelow(Corpus.size())];
   }
-  const int Steps =
-      1 + static_cast<int>(Rng.nextBelow(
-              static_cast<uint64_t>(std::max(1, Opts.MutationsPerJob))));
-  for (int I = 0; I != Steps; ++I)
-    if (mutateProgram(R.P, Rng, Opts.Mutate, &R.Mutations))
+  const uint64_t Steps = 1 + Rng.nextBelow(MutationsPerJob);
+  for (uint64_t I = 0; I != Steps; ++I)
+    if (mutateProgram(R.P, Rng, &R.Mutations))
       R.Mutated = true;
-  R.Run = runOracle(R.P, Opts.Oracle);
+  R.Run = runOracle(R.P, Oracle);
   return R;
 }
 
@@ -93,11 +99,7 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts, std::ostream *Log) {
   int ReproFileNo = 0;
 
   const std::vector<driver::CompileOptions> Configs =
-      Opts.Oracle.Configs.empty() ? differentialCompileConfigs()
-                                  : Opts.Oracle.Configs;
-
-  if (!Opts.CorpusDir.empty())
-    std::filesystem::create_directories(Opts.CorpusDir);
+      differentialCompileConfigs();
 
   // Collects a job's results into the campaign state. Called on the main
   // thread in job-index order, which is what makes parallel runs
@@ -111,11 +113,10 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts, std::ostream *Log) {
     const size_t NewBits = Global.merge(J.Run.Cov);
     const bool Keep = ForceKeep || (J.Mutated && NewBits > 0);
 
-    for (Failure &F : J.Run.Failures) {
-      const std::string Key = failureKey(F);
-      if (!SeenFailures.insert(Key).second)
-        continue; // already reduced an instance of this signature.
-
+    // One reduction per failure signature: an instance already reduced is
+    // not reported again.
+    const Failure &F = J.Run.Fail;
+    if (!J.Run.clean() && SeenFailures.insert(failureKey(F)).second) {
       const lang::Program &Culprit = J.P;
       FailureRecord Rec;
       Rec.Fail = F;
@@ -126,39 +127,25 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts, std::ostream *Log) {
       // oracle sweep.
       lang::Program Reduced = Culprit;
       driver::CompileOptions ReducedOpts;
-      ReduceOptions ROpts;
-      if (Opts.ReduceFailures && isSimKind(F.Kind)) {
-        const sim::MachineConfig M = machineByTag(F.MachineTag);
+      if (isSimKind(F.Kind)) {
+        const sim::MachineConfig M = *machineByTag(F.MachineTag);
         const FailureKind Want = F.Kind;
         const std::string Tag = F.MachineTag;
-        const OracleOptions &OO = Opts.Oracle;
-        Reduced = reduceProgram(
-            Culprit,
-            [&](const lang::Program &P) {
-              return runSimOracle(P, M, Tag, OO).Kind == Want;
-            },
-            ROpts);
-      } else if (Opts.ReduceFailures && F.Kind != FailureKind::EvalError &&
-                 F.ConfigIndex >= 0 &&
-                 static_cast<size_t>(F.ConfigIndex) < Configs.size()) {
+        Reduced = reduceProgram(Culprit, [&](const lang::Program &P) {
+          return runSimOracle(P, M, Tag).Kind == Want;
+        });
+      } else if (F.ConfigIndex >= 0) { // one compile config's failure
         const driver::CompileOptions &Cfg = Configs[F.ConfigIndex];
-        ReducedOpts = Cfg;
         const FailureKind Want = F.Kind;
         const OracleOptions &OO = Opts.Oracle;
-        Reduced = reduceProgram(
-            Culprit,
-            [&](const lang::Program &P) {
-              return runCompileOracle(P, Cfg, OO).Kind == Want;
-            },
-            ROpts);
+        Reduced = reduceProgram(Culprit, [&](const lang::Program &P) {
+          return runCompileOracle(P, Cfg, OO).Kind == Want;
+        });
         ReducedOpts = reduceCompileOptions(
             Reduced, Cfg,
             [&](const lang::Program &P, const driver::CompileOptions &O) {
               return runCompileOracle(P, O, OO).Kind == Want;
             });
-      } else if (F.ConfigIndex >= 0 &&
-                 static_cast<size_t>(F.ConfigIndex) < Configs.size()) {
-        ReducedOpts = Configs[F.ConfigIndex];
       }
 
       Rec.Reduced.Kind = failureKindName(F.Kind);
@@ -167,15 +154,17 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts, std::ostream *Log) {
       Rec.Reduced.Options = ReducedOpts;
       Rec.Reduced.Source = lang::printProgram(Reduced);
 
+      std::filesystem::path Path;
       if (!Opts.CorpusDir.empty()) {
         std::string Name = std::string("repro-") +
                            std::to_string(ReproFileNo++) + "-" +
                            failureKindName(F.Kind) + ".repro";
-        std::filesystem::path Path =
-            std::filesystem::path(Opts.CorpusDir) / Name;
+        Path = std::filesystem::path(Opts.CorpusDir) / Name;
         std::ofstream Out(Path);
         Out << writeRepro(Rec.Reduced);
-        Rec.FilePath = Path.string();
+        Out.close();
+        if (Out)
+          Rec.FilePath = Path.string();
       }
       if (Log) {
         *Log << "FAILURE " << failureKindName(F.Kind) << " config='"
@@ -185,11 +174,13 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts, std::ostream *Log) {
         *Log << "\n  " << F.Detail << "\n";
         if (!Rec.FilePath.empty())
           *Log << "  repro: " << Rec.FilePath << "\n";
+        else if (!Path.empty())
+          *Log << "  repro: cannot write " << Path.string() << "\n";
       }
       Report.Failures.push_back(std::move(Rec));
     }
 
-    if (Keep && Corpus.size() < Opts.MaxCorpus)
+    if (Keep && Corpus.size() < MaxCorpus)
       Corpus.push_back(std::move(J.P));
   };
 
@@ -201,14 +192,14 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts, std::ostream *Log) {
     ThreadPool::parallelForChunked(Opts.Threads, N, [&](size_t I) {
       RNG Rng(jobSeed(Opts.Seed, I));
       JobResult R;
-      R.P = lang::generateProgram(Rng.next(), Opts.Generate);
+      R.P = lang::generateProgram(Rng.next());
       R.Mutated = true;
       R.Run = runOracle(R.P, Opts.Oracle);
       Results[I] = std::move(R);
     });
     for (JobResult &R : Results)
       Merge(R, /*ForceKeep=*/true);
-    if (Log && Opts.Verbose)
+    if (Log)
       *Log << "seed    " << std::setw(6) << Report.Iterations << " iters  "
            << "corpus " << std::setw(4) << Corpus.size() << "  coverage "
            << Global.bitsSet() << "  " << std::fixed << std::setprecision(1)
@@ -231,14 +222,15 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts, std::ostream *Log) {
     const size_t PrevBits = Global.bitsSet();
     std::vector<JobResult> Results(N);
     ThreadPool::parallelForChunked(Opts.Threads, N, [&](size_t I) {
-      Results[I] = runJob(jobSeed(Opts.Seed, NextJobIndex + I), Corpus, Opts);
+      Results[I] =
+          runJob(jobSeed(Opts.Seed, NextJobIndex + I), Corpus, Opts.Oracle);
     });
     NextJobIndex += N;
     for (JobResult &R : Results)
       Merge(R, /*ForceKeep=*/false);
 
     Report.RoundsRun = Round + 1;
-    if (Log && Opts.Verbose)
+    if (Log)
       *Log << "round " << std::setw(3) << Round << " " << std::setw(6)
            << Report.Iterations << " iters  corpus " << std::setw(4)
            << Corpus.size() << "  coverage " << Global.bitsSet() << " (+"

@@ -22,7 +22,6 @@
 #include "fuzz/Mutate.h"
 #include "fuzz/Oracle.h"
 #include "fuzz/Repro.h"
-#include "lang/Generate.h"
 
 #include <cstdint>
 #include <iosfwd>
@@ -44,30 +43,18 @@ struct FuzzOptions {
   int JobsPerRound = 24;
   /// Generator-seeded programs the corpus starts from.
   int InitialSeeds = 16;
-  /// Corpus-size cap; growth stops once reached (coverage still counts).
-  size_t MaxCorpus = 512;
-  /// Probability a job starts from a fresh generated program instead of
-  /// mutating a corpus parent.
-  double FreshProgramChance = 0.1;
-  /// Mutations applied per job: 1 + uniform[0, MutationsPerJob).
-  int MutationsPerJob = 3;
-  /// Directory reduced repro files are written to ("" = don't write).
+  /// Existing directory reduced repro files are written to ("" = don't
+  /// write).
   std::string CorpusDir;
-  /// Shrink failures with the reducer before reporting them.
-  bool ReduceFailures = true;
-  /// Per-round progress lines on the log stream.
-  bool Verbose = true;
 
   OracleOptions Oracle;
-  MutateOptions Mutate;
-  lang::GenerateOptions Generate;
 };
 
 struct FailureRecord {
   Failure Fail;
   std::string OriginalSource; ///< program that first hit the failure.
   Repro Reduced;              ///< reduced program + stripped options.
-  std::string FilePath;       ///< repro file written, if CorpusDir set.
+  std::string FilePath;       ///< repro file written; "" if none was.
 };
 
 struct FuzzReport {

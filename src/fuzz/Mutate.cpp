@@ -32,6 +32,16 @@ const char *fuzz::mutationKindName(MutationKind K) {
 
 namespace {
 
+/// Candidate mutations tried before mutateProgram gives up on a step.
+constexpr int Attempts = 24;
+/// AST-eval statement budget a valid program finishes within.
+constexpr uint64_t EvalBudget = 2000000;
+/// Mutants whose statement count (lang::estimateCost) exceeds this are
+/// rejected.
+constexpr int MaxCost = 4096;
+/// Upper bound for any array dimension or trip count a mutation writes.
+constexpr int64_t MaxDim = 256;
+
 /// A loop variable in scope at some program point, with the largest value it
 /// can take when that is provable from literal bounds.
 struct LoopVarInfo {
@@ -231,8 +241,7 @@ BinOp otherComparator(RNG &Rng, BinOp Op) {
 
 /// Applies one candidate mutation of kind \p K to \p P. Returns false when
 /// the kind has no applicable site; the result is validated by the caller.
-bool applyMutation(MutationKind K, Program &P, RNG &Rng,
-                   const MutateOptions &Opts) {
+bool applyMutation(MutationKind K, Program &P, RNG &Rng) {
   Sites S = collectSites(P);
   switch (K) {
   case MutationKind::InsertAssign: {
@@ -312,7 +321,7 @@ bool applyMutation(MutationKind K, Program &P, RNG &Rng,
     }
     if (L->Hi->Kind != ExprKind::IntLit)
       return false;
-    int64_t Cap = std::min<int64_t>(2 * L->Hi->IntVal + 2, Opts.MaxDim);
+    int64_t Cap = std::min<int64_t>(2 * L->Hi->IntVal + 2, MaxDim);
     L->Hi = intLit(1 + static_cast<int64_t>(
                            Rng.nextBelow(static_cast<uint64_t>(Cap))));
     return true;
@@ -343,7 +352,7 @@ bool applyMutation(MutationKind K, Program &P, RNG &Rng,
         Rng.nextBool(0.6)
             ? std::min<int64_t>(Old + 1 +
                                     static_cast<int64_t>(Rng.nextBelow(32)),
-                                Opts.MaxDim)
+                                MaxDim)
             : std::max<int64_t>(1, Old - 1 -
                                        static_cast<int64_t>(
                                            Rng.nextBelow(8)));
@@ -381,8 +390,7 @@ bool applyMutation(MutationKind K, Program &P, RNG &Rng,
 
 } // namespace
 
-std::string fuzz::validateProgram(const lang::Program &P,
-                                  uint64_t EvalBudget) {
+std::string fuzz::validateProgram(const lang::Program &P) {
   // Check a copy (checkProgram mutates: name resolution + conversions).
   Program Checked = P;
   if (std::string E = checkProgram(Checked); !E.empty())
@@ -403,16 +411,15 @@ std::string fuzz::validateProgram(const lang::Program &P,
 }
 
 std::optional<MutationKind> fuzz::mutateProgram(lang::Program &P, RNG &Rng,
-                                                const MutateOptions &Opts,
                                                 MutationCounts *Counts) {
-  for (int Attempt = 0; Attempt != Opts.Attempts; ++Attempt) {
+  for (int Attempt = 0; Attempt != Attempts; ++Attempt) {
     auto K = static_cast<MutationKind>(
         Rng.nextBelow(static_cast<uint64_t>(NumMutationKinds)));
     Program Cand = P;
-    if (!applyMutation(K, Cand, Rng, Opts))
+    if (!applyMutation(K, Cand, Rng))
       continue;
-    if (lang::estimateCost(Cand.Body) > Opts.MaxCost ||
-        !validateProgram(Cand, Opts.EvalBudget).empty()) {
+    if (lang::estimateCost(Cand.Body) > MaxCost ||
+        !validateProgram(Cand).empty()) {
       if (Counts)
         ++Counts->Rejected;
       continue;

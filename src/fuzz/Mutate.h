@@ -46,17 +46,6 @@ constexpr int NumMutationKinds = 10;
 
 const char *mutationKindName(MutationKind K);
 
-struct MutateOptions {
-  /// Candidate mutations tried before giving up on this step.
-  int Attempts = 24;
-  /// AST-eval statement budget a mutant must finish within.
-  uint64_t EvalBudget = 2000000;
-  /// Reject mutants whose statement count (estimateCost proxy) exceeds this.
-  int MaxCost = 4096;
-  /// Upper bound for any array dimension after a resize.
-  int64_t MaxDim = 256;
-};
-
 /// Per-kind accept/reject bookkeeping (diagnostics for the fuzzer log).
 struct MutationCounts {
   uint64_t Applied[NumMutationKinds] = {};
@@ -64,16 +53,16 @@ struct MutationCounts {
 };
 
 /// Applies one valid mutation to \p P in place, drawing randomness from
-/// \p Rng. Returns the mutation kind applied, or std::nullopt if no valid
-/// mutant was found within Opts.Attempts (P is then unchanged).
+/// \p Rng. Returns the mutation kind applied, or std::nullopt if none of 24
+/// candidate mutations was valid (P is then unchanged).
 std::optional<MutationKind> mutateProgram(lang::Program &P, RNG &Rng,
-                                          const MutateOptions &Opts = {},
                                           MutationCounts *Counts = nullptr);
 
 /// The validity gate mutateProgram enforces; exposed so tests and the
 /// reducer can apply the same contract. Returns an empty string when \p P
-/// checks, reparses and evaluates in bounds, otherwise the first diagnostic.
-std::string validateProgram(const lang::Program &P, uint64_t EvalBudget);
+/// checks, reparses and evaluates in bounds within 2,000,000 statements,
+/// otherwise the first diagnostic.
+std::string validateProgram(const lang::Program &P);
 
 } // namespace fuzz
 } // namespace bsched

@@ -6,6 +6,7 @@
 #include "ir/Interp.h"
 #include "lang/Eval.h"
 #include "lang/Parser.h"
+#include "sched/Exact.h"
 #include "trace/EstimateProfile.h"
 
 #include <utility>
@@ -38,6 +39,17 @@ std::string fuzz::diffSimResults(const sim::SimResult &F,
 
 namespace {
 
+/// Allowed fast-over-optimal excess (percent) on solver-closed blocks.
+constexpr double MaxGapPct = 100.0;
+/// Solver budgets for the gap leg; modest, since fuzzing sweeps many
+/// candidates times many configs.
+constexpr sched::exact::ExactOptions GapSolver{/*MaxNodes=*/32,
+                                               /*MaxExpansions=*/50000};
+/// Cycle cap per simulator run; the twins must agree at the cut as well.
+constexpr uint64_t SimMaxCycles = 400000;
+/// AST-eval statement budget.
+constexpr uint64_t EvalBudget = 200000000;
+
 /// The compile configuration the simulator sweep runs under (the FuzzSim
 /// setup: moderate unrolling builds interesting blocks; the verifier is the
 /// compile sweep's job).
@@ -68,8 +80,7 @@ Failure fail(FailureKind K, std::string ConfigTag, int ConfigIndex,
 /// (fast-beats-exact == solver bug), and the fast schedule is within
 /// MaxGapPct of optimal (exact-beats-fast beyond that == finding).
 Failure gapOracle(const lang::Program &P, const driver::CompileOptions &Config,
-                  const std::string &Tag, int Index,
-                  const OracleOptions &Opts) {
+                  const std::string &Tag, int Index) {
   namespace exact = sched::exact;
   driver::CompileOptions GapCfg = Config;
   GapCfg.StopBeforeRegAlloc = true;
@@ -84,7 +95,7 @@ Failure gapOracle(const lang::Program &P, const driver::CompileOptions &Config,
     return fail(FailureKind::CompileError, Tag, Index, "",
                 "gap-leg compile: " + C.Error);
   for (const ir::BasicBlock &B : C.M.Fn.Blocks) {
-    if (B.Instrs.size() <= 2 || B.Instrs.size() > Opts.Exact.MaxNodes)
+    if (B.Instrs.size() <= 2 || B.Instrs.size() > GapSolver.MaxNodes)
       continue;
     std::vector<const ir::Instr *> Ptrs;
     Ptrs.reserve(B.Instrs.size());
@@ -98,8 +109,8 @@ Failure gapOracle(const lang::Program &P, const driver::CompileOptions &Config,
     std::vector<unsigned> Fast(Ptrs.size());
     for (unsigned K = 0; K != Ptrs.size(); ++K)
       Fast[K] = K;
-    unsigned FastCycles = exact::evaluateOrder(G, Ptrs, Fast, Opts.Exact);
-    exact::ExactResult R = exact::scheduleExact(G, Ptrs, Opts.Exact, &Fast);
+    unsigned FastCycles = exact::evaluateOrder(G, Ptrs, Fast, GapSolver);
+    exact::ExactResult R = exact::scheduleExact(G, Ptrs, GapSolver, &Fast);
     if (!R.closed())
       continue;
     auto Where = [&](const std::string &What) {
@@ -130,16 +141,16 @@ Failure gapOracle(const lang::Program &P, const driver::CompileOptions &Config,
                   Where("solver bug: exact order is not a legal "
                         "topological order"));
     if (R.Cycles > FastCycles ||
-        exact::evaluateOrder(G, Ptrs, R.Order, Opts.Exact) != R.Cycles)
+        exact::evaluateOrder(G, Ptrs, R.Order, GapSolver) != R.Cycles)
       return fail(FailureKind::OptimalityGap, Tag, Index, "",
                   Where("solver bug: exact schedule worse than its warm "
                         "start or inconsistent with its claimed cycles"));
     // The scheduler finding: fast exceeds the allowed gap over the optimum.
     if (static_cast<double>(FastCycles) * 100.0 >
-        static_cast<double>(R.Cycles) * (100.0 + Opts.MaxGapPct))
+        static_cast<double>(R.Cycles) * (100.0 + MaxGapPct))
       return fail(FailureKind::OptimalityGap, Tag, Index, "",
                   Where("fast schedule exceeds the " +
-                        std::to_string(static_cast<int>(Opts.MaxGapPct)) +
+                        std::to_string(static_cast<int>(MaxGapPct)) +
                         "% optimality-gap bound"));
   }
   return {};
@@ -220,22 +231,21 @@ Failure compileOracle(const lang::Program &P, uint64_t RefChecksum,
                 "checksum interp=" + std::to_string(I.Checksum) +
                     " eval=" + std::to_string(RefChecksum));
 
-  if (Opts.CheckSchedTwin) {
-    driver::CompileOptions RefOpts = Config;
-    RefOpts.Balance.Impl = sched::SchedImpl::Reference;
-    driver::CompileResult RC = driver::compileProgram(P, RefOpts);
-    if (!RC.ok())
-      return fail(FailureKind::SchedTwinDivergence, Tag, Index, "",
-                  "reference pipeline failed: " + RC.Error);
-    if (ir::printFunction(C.M.Fn) != ir::printFunction(RC.M.Fn))
-      return fail(FailureKind::SchedTwinDivergence, Tag, Index, "",
-                  "fast and reference compiled code differ");
-  }
+  // Sched twin: the whole pipeline again under the reference scheduler.
+  driver::CompileOptions SchedRef = Config;
+  SchedRef.Balance.Impl = sched::SchedImpl::Reference;
+  driver::CompileResult SC = driver::compileProgram(P, SchedRef);
+  if (!SC.ok())
+    return fail(FailureKind::SchedTwinDivergence, Tag, Index, "",
+                "reference pipeline failed: " + SC.Error);
+  if (ir::printFunction(C.M.Fn) != ir::printFunction(SC.M.Fn))
+    return fail(FailureKind::SchedTwinDivergence, Tag, Index, "",
+                "fast and reference compiled code differ");
 
   // Trace twin: only the trace-scheduling core differs (the fast scheduler
   // core runs in both pipelines), isolating any divergence to trace
   // formation, compaction, or compensation bookkeeping.
-  if (Opts.CheckTraceTwin && Config.TraceScheduling) {
+  if (Config.TraceScheduling) {
     driver::CompileOptions RefOpts = Config;
     RefOpts.TraceImpl = trace::TraceImpl::Reference;
     driver::CompileResult RC = driver::compileProgram(P, RefOpts);
@@ -253,19 +263,19 @@ Failure compileOracle(const lang::Program &P, uint64_t RefChecksum,
       return EF;
 
   if (Opts.CheckOptimalityGap)
-    return gapOracle(P, Config, Tag, Index, Opts);
+    return gapOracle(P, Config, Tag, Index);
   return {};
 }
 
 /// Simulator differential under one machine model; fills \p Cov when given.
 Failure simOracle(const ir::Module &M, uint64_t RefChecksum,
                   const MachinePoint &Point, unsigned CovCfg,
-                  uint64_t MaxCycles, CoverageMap *Cov) {
+                  CoverageMap *Cov) {
   sim::MachineConfig C = Point.Config;
   C.Impl = sim::SimImpl::Fast;
-  sim::SimResult F = sim::simulate(M, C, MaxCycles);
+  sim::SimResult F = sim::simulate(M, C, SimMaxCycles);
   C.Impl = sim::SimImpl::Reference;
-  sim::SimResult R = sim::simulate(M, C, MaxCycles);
+  sim::SimResult R = sim::simulate(M, C, SimMaxCycles);
   if (Cov)
     addSimFeatures(*Cov, CovCfg, F);
   if (!F.ok())
@@ -284,59 +294,41 @@ Failure simOracle(const ir::Module &M, uint64_t RefChecksum,
 OracleRun fuzz::runOracle(const lang::Program &Input,
                           const OracleOptions &Opts) {
   OracleRun Run;
-  const std::vector<driver::CompileOptions> Configs =
-      Opts.Configs.empty() ? differentialCompileConfigs() : Opts.Configs;
-  const std::vector<MachinePoint> Machines =
-      Opts.Machines.empty() ? differentialMachinePoints() : Opts.Machines;
-
   // Normalize before judging: evalProgram honors whatever type/conversion
   // annotations the AST carries, while compileProgram re-checks its own
   // copy — an unchecked input would make the oracle disagree with itself.
   lang::Program P = Input;
   if (std::string E = lang::checkProgram(P); !E.empty()) {
-    Run.Failures.push_back(
-        fail(FailureKind::EvalError, "", -1, "", "check: " + E));
+    Run.Fail = fail(FailureKind::EvalError, "", -1, "", "check: " + E);
     return Run;
   }
 
-  lang::EvalResult Ref = lang::evalProgram(P, Opts.EvalBudget);
+  lang::EvalResult Ref = lang::evalProgram(P, EvalBudget);
   if (!Ref.ok()) {
-    Run.Failures.push_back(
-        fail(FailureKind::EvalError, "", -1, "", Ref.Error));
+    Run.Fail = fail(FailureKind::EvalError, "", -1, "", Ref.Error);
     return Run;
   }
 
-  for (size_t I = 0; I != Configs.size(); ++I) {
-    Failure F = compileOracle(P, Ref.Checksum, Configs[I],
-                              static_cast<int>(I), Opts, &Run.Cov);
-    if (F.Kind != FailureKind::None) {
-      Run.Failures.push_back(std::move(F));
-      if (Opts.StopOnFirstFailure)
-        return Run;
-    }
-  }
+  const std::vector<driver::CompileOptions> Configs =
+      differentialCompileConfigs();
+  for (size_t I = 0; I != Configs.size() && Run.clean(); ++I)
+    Run.Fail = compileOracle(P, Ref.Checksum, Configs[I],
+                             static_cast<int>(I), Opts, &Run.Cov);
+  if (!Run.clean() || !Opts.RunSim)
+    return Run;
 
-  if (Opts.RunSim) {
-    driver::CompileResult C = driver::compileProgram(P, simCompileConfig());
-    if (!C.ok()) {
-      Run.Failures.push_back(fail(FailureKind::CompileError,
-                                  simCompileConfig().tag(), -1, "",
-                                  C.Error));
-      return Run;
-    }
-    for (size_t I = 0; I != Machines.size(); ++I) {
-      // Offset the coverage config index past the compile sweep so "MSHR
-      // stalls under starved" and "... under 21164" are distinct bits.
-      Failure F = simOracle(C.M, Ref.Checksum, Machines[I],
-                            static_cast<unsigned>(1000 + I),
-                            Opts.SimMaxCycles, &Run.Cov);
-      if (F.Kind != FailureKind::None) {
-        Run.Failures.push_back(std::move(F));
-        if (Opts.StopOnFirstFailure)
-          return Run;
-      }
-    }
+  driver::CompileResult C = driver::compileProgram(P, simCompileConfig());
+  if (!C.ok()) {
+    Run.Fail = fail(FailureKind::CompileError, simCompileConfig().tag(), -1,
+                    "", C.Error);
+    return Run;
   }
+  const std::vector<MachinePoint> Machines = differentialMachinePoints();
+  // Offset the coverage config index past the compile sweep so "MSHR
+  // stalls under starved" and "... under 21164" are distinct bits.
+  for (size_t I = 0; I != Machines.size() && Run.clean(); ++I)
+    Run.Fail = simOracle(C.M, Ref.Checksum, Machines[I],
+                         static_cast<unsigned>(1000 + I), &Run.Cov);
   return Run;
 }
 
@@ -346,7 +338,7 @@ Failure fuzz::runCompileOracle(const lang::Program &Input,
   lang::Program P = Input;
   if (std::string E = lang::checkProgram(P); !E.empty())
     return fail(FailureKind::EvalError, "", -1, "", "check: " + E);
-  lang::EvalResult Ref = lang::evalProgram(P, Opts.EvalBudget);
+  lang::EvalResult Ref = lang::evalProgram(P, EvalBudget);
   if (!Ref.ok())
     return fail(FailureKind::EvalError, "", -1, "", Ref.Error);
   return compileOracle(P, Ref.Checksum, Config, -1, Opts, nullptr);
@@ -354,12 +346,11 @@ Failure fuzz::runCompileOracle(const lang::Program &Input,
 
 Failure fuzz::runSimOracle(const lang::Program &Input,
                            const sim::MachineConfig &Machine,
-                           const std::string &MachineTag,
-                           const OracleOptions &Opts) {
+                           const std::string &MachineTag) {
   lang::Program P = Input;
   if (std::string E = lang::checkProgram(P); !E.empty())
     return fail(FailureKind::EvalError, "", -1, "", "check: " + E);
-  lang::EvalResult Ref = lang::evalProgram(P, Opts.EvalBudget);
+  lang::EvalResult Ref = lang::evalProgram(P, EvalBudget);
   if (!Ref.ok())
     return fail(FailureKind::EvalError, "", -1, "", Ref.Error);
   driver::CompileResult C = driver::compileProgram(P, simCompileConfig());
@@ -367,11 +358,10 @@ Failure fuzz::runSimOracle(const lang::Program &Input,
     return fail(FailureKind::CompileError, simCompileConfig().tag(), -1, "",
                 C.Error);
   MachinePoint Point{MachineTag.c_str(), Machine};
-  return simOracle(C.M, Ref.Checksum, Point, 0, Opts.SimMaxCycles, nullptr);
+  return simOracle(C.M, Ref.Checksum, Point, 0, nullptr);
 }
 
-Failure fuzz::replayRepro(const Repro &R, std::string &Err,
-                          const OracleOptions &Opts) {
+Failure fuzz::replayRepro(const Repro &R, std::string &Err) {
   Err.clear();
   lang::ParseResult P = lang::parseProgram(R.Source, "repro");
   if (!P.ok()) {
@@ -382,21 +372,19 @@ Failure fuzz::replayRepro(const Repro &R, std::string &Err,
     Err = "check: " + E;
     return fail(FailureKind::EvalError, "", -1, "", Err);
   }
-  if (!R.MachineTag.empty())
-    return runSimOracle(P.Prog, machineByTag(R.MachineTag), R.MachineTag,
-                        Opts);
-  // A gap repro re-arms the leg that found it; the caller's other settings
-  // (budgets, MaxGapPct) still apply.
-  if (R.Kind == failureKindName(FailureKind::OptimalityGap)) {
-    OracleOptions GapOpts = Opts;
-    GapOpts.CheckOptimalityGap = true;
-    return runCompileOracle(P.Prog, R.Options, GapOpts);
+  if (!R.MachineTag.empty()) {
+    std::optional<sim::MachineConfig> M = machineByTag(R.MachineTag);
+    if (!M) {
+      Err = "unknown machine tag '" + R.MachineTag + "'";
+      return fail(FailureKind::EvalError, "", -1, "", Err);
+    }
+    return runSimOracle(P.Prog, *M, R.MachineTag);
   }
-  // Likewise an estimated-profile repro re-arms the estimator leg.
-  if (R.Kind == failureKindName(FailureKind::EstProfileInvalid)) {
-    OracleOptions EstOpts = Opts;
-    EstOpts.CheckEstimatedProfile = true;
-    return runCompileOracle(P.Prog, R.Options, EstOpts);
-  }
+  // A gap or estimated-profile repro re-arms the leg that found it.
+  OracleOptions Opts;
+  Opts.CheckOptimalityGap =
+      R.Kind == failureKindName(FailureKind::OptimalityGap);
+  Opts.CheckEstimatedProfile =
+      R.Kind == failureKindName(FailureKind::EstProfileInvalid);
   return runCompileOracle(P.Prog, R.Options, Opts);
 }

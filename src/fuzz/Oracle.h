@@ -28,11 +28,9 @@
 #include "fuzz/Coverage.h"
 #include "fuzz/Repro.h"
 #include "lang/AST.h"
-#include "sched/Exact.h"
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace bsched {
 namespace fuzz {
@@ -69,28 +67,24 @@ struct Failure {
   std::string Detail;     ///< first differing field / diagnostic / error.
 };
 
+/// The oracle legs a campaign can switch. The rest is fixed: the compile
+/// sweep runs every config of differentialCompileConfigs() with both twin
+/// legs, the simulator sweep every point of differentialMachinePoints() for
+/// at most 400,000 cycles a run, the AST oracle at most 200,000,000
+/// statements, and a sweep stops at its first failure.
 struct OracleOptions {
-  /// Compile configurations to sweep; empty = differentialCompileConfigs().
-  std::vector<driver::CompileOptions> Configs;
-  /// Machine models for the simulator sweep; empty =
-  /// differentialMachinePoints().
-  std::vector<MachinePoint> Machines;
-  /// Compile every config a second time with SchedImpl::Reference and
-  /// require byte-identical output (doubles compile cost).
-  bool CheckSchedTwin = true;
-  /// Compile every trace-scheduling config a further time with
-  /// TraceImpl::Reference (the fast scheduler core otherwise — only the
-  /// trace core differs) and require byte-identical output.
-  bool CheckTraceTwin = true;
   /// Run the simulator differential sweep.
   bool RunSim = true;
   /// Run the optimality-gap leg: recompile each config stopping before
-  /// register allocation, then on every block the branch-and-bound solver
-  /// closes (sched/Exact.h) require the fast schedule to be a legal
-  /// topological order no worse than (100 + MaxGapPct)% of the proven
-  /// optimum — and the solver's own order to be legal and no worse than its
-  /// warm start (fast-beats-exact is a solver bug, not a scheduler finding).
-  /// Off by default: it is a quality oracle, not a correctness oracle.
+  /// register allocation, then on every block of at most 32 instructions
+  /// the branch-and-bound solver closes within 50,000 expansions
+  /// (sched/Exact.h) require the fast schedule to be a legal topological
+  /// order no worse than twice the proven optimum (room for balanced
+  /// scheduling's deliberate hit-model pessimism: load weights up to 50
+  /// under a 2-cycle hit model) — and the solver's own order to be legal
+  /// and no worse than its warm start (fast-beats-exact is a solver bug,
+  /// not a scheduler finding). Off by default: it is a quality oracle, not
+  /// a correctness oracle.
   bool CheckOptimalityGap = false;
   /// Run the estimated-profile leg: rebuild the module the estimator sees
   /// (same transforms + lowering + cleanup as the compile pipeline) and
@@ -101,27 +95,13 @@ struct OracleOptions {
   /// covered exactly once). Off by default for the same reason as the gap
   /// leg: it judges the estimator, not program semantics.
   bool CheckEstimatedProfile = false;
-  /// Allowed fast-over-optimal excess (percent) on solver-closed blocks.
-  /// The default leaves room for balanced scheduling's deliberate
-  /// hit-model pessimism (load weights up to 50 under a 2-cycle hit model).
-  double MaxGapPct = 100.0;
-  /// Solver budgets for the gap leg; modest, since fuzzing sweeps many
-  /// candidates times many configs.
-  sched::exact::ExactOptions Exact{/*MaxNodes=*/32,
-                                   /*MaxExpansions=*/50000};
-  /// Cycle cap per simulator run; the twins must agree at the cut as well.
-  uint64_t SimMaxCycles = 400000;
-  /// AST-eval statement budget.
-  uint64_t EvalBudget = 200000000;
-  /// Stop at the first failure instead of sweeping every configuration.
-  bool StopOnFirstFailure = true;
 };
 
 struct OracleRun {
-  std::vector<Failure> Failures; ///< empty on a clean candidate.
-  CoverageMap Cov;               ///< behavioural coverage of this candidate.
+  Failure Fail;    ///< the first failure; Kind == None on a clean candidate.
+  CoverageMap Cov; ///< behavioural coverage of this candidate.
 
-  bool clean() const { return Failures.empty(); }
+  bool clean() const { return Fail.Kind == FailureKind::None; }
 };
 
 /// Runs the full differential oracle on \p P.
@@ -137,8 +117,7 @@ Failure runCompileOracle(const lang::Program &P,
 /// Runs only the simulator twin/checksum oracle under \p Machine (compile
 /// config fixed to the FuzzSim setup). Kind==None if clean.
 Failure runSimOracle(const lang::Program &P, const sim::MachineConfig &Machine,
-                     const std::string &MachineTag,
-                     const OracleOptions &Opts = {});
+                     const std::string &MachineTag);
 
 /// Replays a repro file's payload: parses and checks the source, then
 /// re-runs the oracle leg the repro came from (the simulator oracle under
@@ -146,8 +125,7 @@ Failure runSimOracle(const lang::Program &P, const sim::MachineConfig &Machine,
 /// R.Options otherwise). Kind==None means the bug no longer reproduces —
 /// the steady state tests/corpus/ asserts. Unparseable sources are reported
 /// through \p Err with Kind==EvalError.
-Failure replayRepro(const Repro &R, std::string &Err,
-                    const OracleOptions &Opts = {});
+Failure replayRepro(const Repro &R, std::string &Err);
 
 /// driver::firstDifference between the fast (\p F) and reference (\p R)
 /// simulator cores: the first differing SimResult field as "Path fast=X

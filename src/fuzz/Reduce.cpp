@@ -16,6 +16,11 @@ using namespace bsched::lang;
 
 namespace {
 
+/// Fixpoint rounds over the pass list before giving up.
+constexpr int MaxPasses = 10;
+/// Hard cap on predicate evaluations (an oracle call each).
+constexpr int MaxCandidates = 4000;
+
 /// Addresses one statement inside nested statement lists without pointers,
 /// so a path survives copying the whole program. Each step descends from the
 /// current list into child Index's sub-list (0 = For body, 1 = Then,
@@ -116,16 +121,15 @@ void collectNames(const StmtList &L, std::vector<std::string> &Out) {
 
 class Reducer {
 public:
-  Reducer(lang::Program Input, const Predicate &Pred,
-          const ReduceOptions &Opts, ReduceStats *Stats)
-      : Best(std::move(Input)), Pred(Pred), Opts(Opts), Stats(Stats) {
+  Reducer(lang::Program Input, const Predicate &Pred, ReduceStats *Stats)
+      : Best(std::move(Input)), Pred(Pred), Stats(Stats) {
     // Resolve types on the working copy so expression passes can consult
     // Expr::Ty (checkProgram is idempotent; the input already validated).
     (void)lang::checkProgram(Best);
   }
 
   lang::Program run() {
-    for (int Round = 0; Round != Opts.MaxPasses; ++Round) {
+    for (int Round = 0; Round != MaxPasses; ++Round) {
       if (Stats)
         ++Stats->Passes;
       bool Progress = false;
@@ -144,11 +148,10 @@ public:
 private:
   lang::Program Best;
   const Predicate &Pred;
-  ReduceOptions Opts;
   ReduceStats *Stats;
   int Tried = 0;
 
-  bool budgetLeft() const { return Tried < Opts.MaxCandidates; }
+  bool budgetLeft() const { return Tried < MaxCandidates; }
 
   /// Accepts \p Cand as the new Best when it is valid and still failing.
   bool accept(lang::Program &&Cand) {
@@ -157,7 +160,7 @@ private:
     ++Tried;
     if (Stats)
       ++Stats->CandidatesTried;
-    if (!validateProgram(Cand, Opts.EvalBudget).empty())
+    if (!validateProgram(Cand).empty())
       return false;
     if (!Pred(Cand))
       return false;
@@ -375,9 +378,8 @@ private:
 
 lang::Program fuzz::reduceProgram(const lang::Program &Input,
                                   const Predicate &StillFails,
-                                  const ReduceOptions &Opts,
                                   ReduceStats *Stats) {
-  return Reducer(Input, StillFails, Opts, Stats).run();
+  return Reducer(Input, StillFails, Stats).run();
 }
 
 driver::CompileOptions

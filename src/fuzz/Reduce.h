@@ -19,7 +19,6 @@
 #include "driver/Compiler.h"
 #include "lang/AST.h"
 
-#include <cstdint>
 #include <functional>
 
 namespace bsched {
@@ -32,16 +31,6 @@ using Predicate = std::function<bool(const lang::Program &)>;
 using OptionsPredicate =
     std::function<bool(const lang::Program &, const driver::CompileOptions &)>;
 
-struct ReduceOptions {
-  /// Fixpoint rounds over the pass list before giving up.
-  int MaxPasses = 10;
-  /// AST-eval statement budget for candidate validation.
-  uint64_t EvalBudget = 2000000;
-  /// Hard cap on predicate evaluations (an oracle call each); the reducer
-  /// returns its best-so-far when the budget runs out.
-  int MaxCandidates = 4000;
-};
-
 struct ReduceStats {
   int CandidatesTried = 0;
   int CandidatesAccepted = 0;
@@ -50,10 +39,11 @@ struct ReduceStats {
 
 /// Shrinks \p Input while \p StillFails holds. \p Input itself is assumed to
 /// fail; the result always satisfies the predicate (it is \p Input itself if
-/// nothing smaller does).
+/// nothing smaller does). The passes run to a fixpoint, at most 10 rounds
+/// over the pass list and 4000 predicate calls; when either budget runs out
+/// the best program so far is returned.
 lang::Program reduceProgram(const lang::Program &Input,
                             const Predicate &StillFails,
-                            const ReduceOptions &Opts = {},
                             ReduceStats *Stats = nullptr);
 
 /// Strips compile-option flags (unrolling, trace scheduling, locality,

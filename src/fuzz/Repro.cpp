@@ -3,6 +3,7 @@
 #include "fuzz/Repro.h"
 
 #include "driver/JobFields.h"
+#include "fuzz/Configs.h"
 
 #include <algorithm>
 #include <charconv>
@@ -120,6 +121,11 @@ bool fuzz::parseRepro(const std::string &Text, Repro &Out, std::string &Err) {
     }
     if (StartsWith("machine: ")) {
       Out.MachineTag = Line.substr(9);
+      if (!machineByTag(Out.MachineTag)) {
+        Err = "line " + std::to_string(LineNo) + ": unknown machine tag '" +
+              Out.MachineTag + "'";
+        return false;
+      }
       continue;
     }
     if (StartsWith("option ")) {

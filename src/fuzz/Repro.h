@@ -20,7 +20,8 @@
 ///   array a0[16] output;
 ///   ...
 ///
-/// One `option <name> <value>` line per CompileOptions field that differs
+/// The `machine:` tag must be one fuzz::machineByTag() knows. There is
+/// one `option <name> <value>` line per CompileOptions field that differs
 /// from its default. The names and the field order come from the field lists
 /// in driver/JobFields.h, which cover every field:
 ///

@@ -15,26 +15,26 @@ using namespace bsched::lang;
 
 namespace {
 
+// The shape of a generated program.
+constexpr int MaxArrays = 4;      ///< fp arrays (plus maybe an index array).
+constexpr int MaxArrayElems = 64; ///< per dimension.
+constexpr int MaxStmtsPerBlock = 5;
+constexpr int MaxLoopDepth = 3;
+constexpr int MaxTrip = 24; ///< literal loop trip counts.
+constexpr int MaxExprDepth = 3;
+
 class Generator {
 public:
-  Generator(uint64_t Seed, GenerateOptions Opts) : Rng(Seed), Opts(Opts) {}
+  explicit Generator(uint64_t Seed) : Rng(Seed) {}
 
   Program run() {
     P.Name = "fuzz";
 
     // All fp arrays share the leading dimension so index-array values are
     // always in range for any of them. The lead dimension is at least 8
-    // (loops need room for a few unrolled trips), so MaxArrayElems below 8
-    // cannot be honored: the subtraction would wrap nextBelow's uint64_t
-    // bound. Assert in debug builds and clamp otherwise.
-    assert(Opts.MaxArrayElems >= 8 &&
-           "GenerateOptions::MaxArrayElems must be at least 8");
-    const int64_t MaxElems = std::max<int64_t>(Opts.MaxArrayElems, 8);
-    LeadDim = 8 + static_cast<int64_t>(
-                      Rng.nextBelow(static_cast<uint64_t>(MaxElems - 7)));
-    int NumArrays =
-        1 + static_cast<int>(Rng.nextBelow(
-                static_cast<uint64_t>(Opts.MaxArrays)));
+    // (loops need room for a few unrolled trips).
+    LeadDim = 8 + static_cast<int64_t>(Rng.nextBelow(MaxArrayElems - 7));
+    int NumArrays = 1 + static_cast<int>(Rng.nextBelow(MaxArrays));
     for (int K = 0; K != NumArrays; ++K) {
       ArrayDecl A;
       A.Name = "a" + std::to_string(K);
@@ -86,7 +86,6 @@ public:
 
 private:
   RNG Rng;
-  GenerateOptions Opts;
   Program P;
   int64_t LeadDim = 8;
   bool HasIndexArray = false;
@@ -157,7 +156,7 @@ private:
   }
 
   ExprPtr fpExpr(int Depth) {
-    if (Depth >= Opts.MaxExprDepth || Rng.nextBool(0.35)) {
+    if (Depth >= MaxExprDepth || Rng.nextBool(0.35)) {
       switch (Rng.nextBelow(3)) {
       case 0:
         return fpLit(static_cast<double>(Rng.nextBelow(64)) * 0.25 - 8.0);
@@ -188,13 +187,12 @@ private:
 
   ExprPtr condition() {
     return binary(Rng.nextBool(0.5) ? BinOp::Lt : BinOp::Ge,
-                  fpExpr(Opts.MaxExprDepth - 1),
-                  fpExpr(Opts.MaxExprDepth - 1));
+                  fpExpr(MaxExprDepth - 1),
+                  fpExpr(MaxExprDepth - 1));
   }
 
   void genBlock(StmtList &Out, int Depth) {
-    int N = 1 + static_cast<int>(Rng.nextBelow(
-                    static_cast<uint64_t>(Opts.MaxStmtsPerBlock)));
+    int N = 1 + static_cast<int>(Rng.nextBelow(MaxStmtsPerBlock));
     for (int K = 0; K != N && StmtBudget > 0; ++K) {
       --StmtBudget;
       double Roll = Rng.nextDouble();
@@ -208,12 +206,12 @@ private:
           Out.push_back(assign(
               varRef(P.Vars[Rng.nextBelow(P.Vars.size())].Name), fpExpr(0)));
         }
-      } else if (Roll < 0.70 && Depth < Opts.MaxLoopDepth) {
+      } else if (Roll < 0.70 && Depth < MaxLoopDepth) {
         // Loop with a literal trip count; deeper nests get shorter trips so
         // the total work stays bounded.
         int64_t Trip =
             2 + static_cast<int64_t>(Rng.nextBelow(static_cast<uint64_t>(
-                    std::max(2, Opts.MaxTrip >> (2 * Depth)))));
+                    std::max(2, MaxTrip >> (2 * Depth)))));
         Trip = std::min<int64_t>(Trip, LeadDim);
         int64_t Step = Rng.nextBool(0.8) ? 1 : 2;
         std::string Var = "i" + std::to_string(LoopCounter++);
@@ -242,6 +240,6 @@ private:
 
 } // namespace
 
-Program lang::generateProgram(uint64_t Seed, GenerateOptions Opts) {
-  return Generator(Seed, Opts).run();
+Program lang::generateProgram(uint64_t Seed) {
+  return Generator(Seed).run();
 }

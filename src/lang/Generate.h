@@ -23,17 +23,8 @@
 namespace bsched {
 namespace lang {
 
-struct GenerateOptions {
-  int MaxArrays = 4;       ///< fp arrays (plus possibly one int index array).
-  int MaxArrayElems = 64;  ///< per dimension.
-  int MaxStmtsPerBlock = 5;
-  int MaxLoopDepth = 3;
-  int MaxTrip = 24;        ///< literal loop trip counts.
-  int MaxExprDepth = 3;
-};
-
 /// Generates a checked program from \p Seed. Same seed, same program.
-Program generateProgram(uint64_t Seed, GenerateOptions Opts = {});
+Program generateProgram(uint64_t Seed);
 
 } // namespace lang
 } // namespace bsched

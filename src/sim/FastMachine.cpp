@@ -108,7 +108,7 @@ public:
       : M(M), Config(C), MaxCycles(MaxCycles), State(M), L1D(C.L1D),
         L1I(C.L1I), L2(C.L2), L3(C.L3), DTlb(C.DTlbEntries, C.PageSize),
         ITlb(C.ITlbEntries, C.PageSize), Pred(C.BranchPredictorEntries),
-        Mshrs(C.NumMSHRs), WriteBuf(C.WriteBufferEntries), Rng(C.SimpleSeed) {}
+        Mshrs(C.NumMSHRs), WriteBuf(C.WriteBufferEntries), Rng(SimpleSeed) {}
 
   SimResult run() {
     if (!predecode())
@@ -269,7 +269,7 @@ private:
     Blocks.resize(M.Fn.Blocks.size());
 
     std::vector<uint64_t> CodeAddr(M.Fn.Blocks.size());
-    uint64_t Addr = Config.CodeBase;
+    uint64_t Addr = CodeBase;
     for (const BasicBlock &B : M.Fn.Blocks) {
       CodeAddr[static_cast<size_t>(B.Id)] = Addr;
       Addr += 4 * B.Instrs.size();
@@ -388,11 +388,11 @@ private:
       return true; // the single slot is the only constraint
     switch (Op.Pipe) {
     case 0:
-      return S.IntUsed < Config.MaxIntPerCycle;
+      return S.IntUsed < MaxIntPerCycle;
     case 1:
-      return S.FpUsed < Config.MaxFpPerCycle;
+      return S.FpUsed < MaxFpPerCycle;
     default:
-      return S.MemUsed < Config.MaxMemPerCycle;
+      return S.MemUsed < MaxMemPerCycle;
     }
   }
 
@@ -497,7 +497,7 @@ private:
       int Latency;
       if (Simple) {
         Latency = Rng.nextBool(Config.SimpleHitRate)
-                      ? Config.SimpleHitLatency
+                      ? SimpleHitLatency
                       : Config.SimpleMissLatency;
       } else {
         if (!DTlb.access(Addr)) {

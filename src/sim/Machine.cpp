@@ -64,13 +64,8 @@ std::string sim::validateMachineConfig(const MachineConfig &Config) {
     return "BranchMispredictPenalty must be non-negative";
   if (Config.IssueWidth == 0)
     return "IssueWidth must be at least one";
-  if (Config.IssueWidth > 1 && (Config.MaxIntPerCycle == 0 ||
-                                Config.MaxFpPerCycle == 0 ||
-                                Config.MaxMemPerCycle == 0))
-    return "per-class issue limits must be positive when IssueWidth > 1";
-  if (Config.SimpleModel &&
-      (Config.SimpleHitLatency < 1 || Config.SimpleMissLatency < 1))
-    return "simple-model latencies must be at least one cycle";
+  if (Config.SimpleModel && Config.SimpleMissLatency < 1)
+    return "SimpleMissLatency must be at least one cycle";
   return std::string();
 }
 

@@ -37,7 +37,7 @@ public:
       : M(M), Config(C), MaxCycles(MaxCycles), State(M), L1D(C.L1D),
         L1I(C.L1I), L2(C.L2), L3(C.L3), DTlb(C.DTlbEntries, C.PageSize),
         ITlb(C.ITlbEntries, C.PageSize), Pred(C.BranchPredictorEntries),
-        Rng(C.SimpleSeed) {}
+        Rng(SimpleSeed) {}
 
   SimResult run() {
     if (!validate())
@@ -159,11 +159,11 @@ private:
       return true; // the single slot is the only constraint
     switch (pipeOf(In)) {
     case Pipe::Int:
-      return IntUsed < Config.MaxIntPerCycle;
+      return IntUsed < MaxIntPerCycle;
     case Pipe::Fp:
-      return FpUsed < Config.MaxFpPerCycle;
+      return FpUsed < MaxFpPerCycle;
     case Pipe::Mem:
-      return MemUsed < Config.MaxMemPerCycle;
+      return MemUsed < MaxMemPerCycle;
     }
     return true;
   }
@@ -215,7 +215,7 @@ private:
 
   void layoutCode() {
     CodeAddr.resize(M.Fn.Blocks.size());
-    uint64_t Addr = Config.CodeBase;
+    uint64_t Addr = CodeBase;
     for (const BasicBlock &B : M.Fn.Blocks) {
       CodeAddr[static_cast<size_t>(B.Id)] = Addr;
       Addr += 4 * B.Instrs.size();
@@ -344,7 +344,7 @@ private:
     uint64_t Addr = State.effectiveAddress(In);
     int Latency;
     if (Config.SimpleModel) {
-      Latency = Rng.nextBool(Config.SimpleHitRate) ? Config.SimpleHitLatency
+      Latency = Rng.nextBool(Config.SimpleHitRate) ? SimpleHitLatency
                                                    : Config.SimpleMissLatency;
     } else {
       if (!DTlb.access(Addr)) {

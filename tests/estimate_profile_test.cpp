@@ -154,11 +154,10 @@ TEST(EstimateProfile, ConservesFlowUnderFuzzConfigs) {
   // differential compile config (locality, unroll, cleanup on/off, both
   // scheduler kinds) rebuilt exactly as the pipeline would, on a few
   // representative workloads. A clean leg means conserving, deterministic,
-  // Finished, and digestible by formTraces.
+  // Finished, and digestible by formTraces; the compile oracle's twin legs
+  // run too.
   fuzz::OracleOptions Opts;
   Opts.CheckEstimatedProfile = true;
-  Opts.CheckSchedTwin = false;
-  Opts.CheckTraceTwin = false;
   for (const char *Name : {"DYFESM", "hydro2d", "mdljdp2"}) {
     lang::Program P = driver::parseWorkload(*driver::findWorkload(Name));
     for (const driver::CompileOptions &Config :

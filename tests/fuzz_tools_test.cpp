@@ -48,15 +48,14 @@ lang::Program parseChecked(const std::string &Source) {
 // re-validated (reparse, semantic check, in-bounds AST evaluation) rather
 // than trusting the mutator's own gate.
 TEST(Mutator, ThousandStepsStayValid) {
-  MutateOptions MO;
   for (uint64_t Seed = 0; Seed != 10; ++Seed) {
     lang::Program P = lang::generateProgram(Seed);
     RNG Rng(Seed * 977 + 5);
     int Applied = 0;
     for (int Step = 0; Step != 100; ++Step) {
-      if (mutateProgram(P, Rng, MO))
+      if (mutateProgram(P, Rng))
         ++Applied;
-      std::string E = validateProgram(P, MO.EvalBudget);
+      std::string E = validateProgram(P);
       ASSERT_EQ(E, "") << "seed " << Seed << " step " << Step << ":\n"
                        << lang::printProgram(P);
     }
@@ -84,7 +83,7 @@ TEST(Mutator, RejectsNothingOnValidInput) {
   // validateProgram accepts what the generator produces.
   for (uint64_t Seed = 0; Seed != 10; ++Seed) {
     lang::Program P = lang::generateProgram(Seed);
-    EXPECT_EQ(validateProgram(P, 2000000), "") << "seed " << Seed;
+    EXPECT_EQ(validateProgram(P), "") << "seed " << Seed;
   }
 }
 
@@ -143,9 +142,9 @@ TEST(Oracle, CleanOnGeneratedPrograms) {
   for (uint64_t Seed = 0; Seed != 3; ++Seed) {
     lang::Program P = lang::generateProgram(Seed);
     OracleRun Run = runOracle(P);
-    EXPECT_TRUE(Run.clean())
-        << "seed " << Seed << ": " << failureKindName(Run.Failures[0].Kind)
-        << " " << Run.Failures[0].Detail;
+    EXPECT_TRUE(Run.clean()) << "seed " << Seed << ": "
+                             << failureKindName(Run.Fail.Kind) << " "
+                             << Run.Fail.Detail;
     EXPECT_GT(Run.Cov.bitsSet(), 0u);
   }
 }
@@ -160,16 +159,20 @@ TEST(Oracle, DiffSimResultsNamesFirstField) {
 }
 
 TEST(Oracle, MachineByTagRoundTrips) {
-  EXPECT_EQ(machineByTag("starved").NumMSHRs, 2u);
-  EXPECT_EQ(machineByTag("starved").WriteBufferEntries, 1u);
-  EXPECT_EQ(machineByTag("oddgeom").PageSize, 1000u);
-  EXPECT_TRUE(machineByTag("simple80").SimpleModel);
-  EXPECT_TRUE(machineByTag("pfe").PerfectFrontEnd);
-  EXPECT_EQ(machineByTag("w4").IssueWidth, 4u);
-  // Unknown and empty tags fall back to the default 21164.
-  EXPECT_EQ(machineByTag("").NumMSHRs, sim::MachineConfig{}.NumMSHRs);
-  EXPECT_EQ(machineByTag("nonsense").PageSize,
-            sim::MachineConfig{}.PageSize);
+  EXPECT_EQ(machineByTag("starved")->NumMSHRs, 2u);
+  EXPECT_EQ(machineByTag("starved")->WriteBufferEntries, 1u);
+  EXPECT_EQ(machineByTag("oddgeom")->PageSize, 1000u);
+  EXPECT_TRUE(machineByTag("simple80")->SimpleModel);
+  EXPECT_TRUE(machineByTag("pfe")->PerfectFrontEnd);
+  EXPECT_EQ(machineByTag("w4")->IssueWidth, 4u);
+  EXPECT_EQ(machineByTag("21164")->PageSize, sim::MachineConfig{}.PageSize);
+  // Every differential point's tag finds its machine.
+  for (const MachinePoint &M : differentialMachinePoints())
+    EXPECT_TRUE(machineByTag(M.Tag)) << M.Tag;
+  // Unknown and empty tags find none: a misspelled tag must not replay on
+  // a default machine.
+  EXPECT_FALSE(machineByTag(""));
+  EXPECT_FALSE(machineByTag("stravred"));
 }
 
 //===----------------------------------------------------------------------===//
@@ -200,10 +203,10 @@ TEST(Reducer, ShrinksToPlantedStatement) {
   lang::Program P = parseChecked(PlantedSrc);
   ASSERT_TRUE(hasPlantedLiteral(P));
   ReduceStats Stats;
-  lang::Program R = reduceProgram(P, hasPlantedLiteral, {}, &Stats);
+  lang::Program R = reduceProgram(P, hasPlantedLiteral, &Stats);
   EXPECT_TRUE(hasPlantedLiteral(R));
   EXPECT_EQ(R.Body.size(), 1u) << lang::printProgram(R);
-  EXPECT_EQ(validateProgram(R, 2000000), "");
+  EXPECT_EQ(validateProgram(R), "");
   // The surviving statement is the planted assignment, and the unused
   // declarations went with the deleted statements.
   EXPECT_NE(lang::printProgram(R).find("0.125"), std::string::npos);
@@ -216,21 +219,18 @@ TEST(Reducer, NeverFailingOracleLeavesInputUnchanged) {
   lang::Program P = parseChecked(PlantedSrc);
   ReduceStats Stats;
   lang::Program R = reduceProgram(
-      P, [](const lang::Program &) { return false; }, {}, &Stats);
+      P, [](const lang::Program &) { return false; }, &Stats);
   EXPECT_EQ(lang::printProgram(R), lang::printProgram(P));
   EXPECT_EQ(Stats.CandidatesAccepted, 0);
 }
 
 TEST(Reducer, AlwaysFailingOracleTerminates) {
   lang::Program P = parseChecked(PlantedSrc);
-  ReduceOptions RO;
-  RO.MaxCandidates = 500;
   ReduceStats Stats;
-  lang::Program R =
-      reduceProgram(P, [](const lang::Program &) { return true; }, RO,
-                    &Stats);
-  EXPECT_LE(Stats.CandidatesTried, RO.MaxCandidates);
-  EXPECT_EQ(validateProgram(R, 2000000), "");
+  lang::Program R = reduceProgram(
+      P, [](const lang::Program &) { return true; }, &Stats);
+  EXPECT_LE(Stats.CandidatesTried, 4000) << "the reducer's candidate budget";
+  EXPECT_EQ(validateProgram(R), "");
   EXPECT_LT(lang::printProgram(R).size(), lang::printProgram(P).size());
 }
 
@@ -306,6 +306,12 @@ TEST(Repro, RejectsMalformedInput) {
   EXPECT_NE(Err.find("bogus"), std::string::npos) << Err;
   EXPECT_FALSE(parseRepro("---\n", Out, Err));
   EXPECT_NE(Err.find("empty source"), std::string::npos) << Err;
+  // A misspelled machine tag is rejected with its line number instead of
+  // replaying on some other machine.
+  EXPECT_FALSE(
+      parseRepro("kind: x\nmachine: stravred\n---\na = 1.0;\n", Out, Err));
+  EXPECT_NE(Err.find("line 2"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("stravred"), std::string::npos) << Err;
 }
 
 TEST(Repro, ReplayCleanSource) {
@@ -344,7 +350,6 @@ TEST(Fuzzer, DeterministicAcrossThreadCounts) {
   FO.Seconds = 0;
   FO.JobsPerRound = 6;
   FO.InitialSeeds = 4;
-  FO.Verbose = false;
 
   FO.Threads = 1;
   FuzzReport R1 = runFuzzer(FO);
@@ -369,7 +374,6 @@ TEST(Fuzzer, CoverageGrowsOverSeedRound) {
   FO.Seconds = 0;
   FO.JobsPerRound = 4;
   FO.InitialSeeds = 6;
-  FO.Verbose = false;
   FuzzReport R = runFuzzer(FO);
   EXPECT_TRUE(R.clean());
   EXPECT_GT(R.CoverageBits, 100u)

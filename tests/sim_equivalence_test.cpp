@@ -142,7 +142,7 @@ std::vector<DynInstr> walkDynamic(const ir::Module &M, const MachineConfig &C,
                                   size_t N) {
   const ir::Function &F = M.Fn;
   std::vector<uint64_t> CodeAddr(F.Blocks.size());
-  uint64_t Addr = C.CodeBase;
+  uint64_t Addr = CodeBase;
   for (const ir::BasicBlock &B : F.Blocks) {
     CodeAddr[static_cast<size_t>(B.Id)] = Addr;
     Addr += 4 * B.Instrs.size();

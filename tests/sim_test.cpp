@@ -361,17 +361,6 @@ TEST(SimConfig, ZeroIssueWidthRejected) {
   expectRejected(C, "zero issue width");
 }
 
-TEST(SimConfig, ZeroPerClassLimitRejectedWhenSuperscalar) {
-  MachineConfig C;
-  C.IssueWidth = 2;
-  C.MaxMemPerCycle = 0;
-  expectRejected(C, "zero per-class limit at width 2");
-  // At width 1 the per-class limits are unused, so the same value is fine.
-  MachineConfig C1 = C;
-  C1.IssueWidth = 1;
-  EXPECT_EQ(validateMachineConfig(C1), "");
-}
-
 TEST(SimConfig, SimpleModelLatenciesValidated) {
   MachineConfig C;
   C.SimpleModel = true;

@@ -1,7 +1,8 @@
 # The gate flags of bench_gap_oracle and bench_profile_estimator: every
 # malformed value exits 2 before anything compiles, so a typo can never turn
 # a CI gate off or into a different bound. Only rejections are checked: an
-# accepted value would run the whole bench.
+# accepted value would run the whole bench. bench_gap_oracle's retired
+# --unroll (every compile unrolls by 4) is an unknown argument.
 # The compile and sim trackers take no thread or scaling flag: their sweeps
 # run up to one worker per hardware thread. Each call names a JSON path in
 # the build tree first, so a tracker that accepted the flag would write its
@@ -21,7 +22,6 @@ function(expect_rejected Bench Flag Value)
 endfunction()
 
 function(expect_all_rejected Value)
-  expect_rejected("${GAP}" --unroll "${Value}")
   expect_rejected("${GAP}" --min-closure "${Value}")
   expect_rejected("${PROFILE}" --min-speedup "${Value}")
   expect_rejected("${PROFILE}" --max-cycle-regress "${Value}")
@@ -31,6 +31,7 @@ foreach(Value abc 5x -1)
   expect_all_rejected(${Value})
 endforeach()
 expect_all_rejected("")
+expect_rejected("${GAP}" --unroll 4)
 
 # Fails the test unless `BENCH --json JSON ARGS...` exits 2.
 function(expect_tracker_rejected Bench)
